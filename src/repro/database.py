@@ -159,14 +159,15 @@ class Database:
     # -- persistence -------------------------------------------------------------------
 
     def save(self, path) -> int:
-        """Write the document (a physical checkpoint image) to ``path``.
+        """Write the document's page-exact image to ``path``.
 
         Returns the number of bytes written.  Exact SPLIDs, the
-        vocabulary, and all indexes survive the round trip.
+        vocabulary, all indexes, the page layout, the buffer pool's
+        residency and its I/O counters survive the round trip
+        (:meth:`Document.to_image`); locks, transactions and the WAL are
+        not part of the image.
         """
-        from repro.txn.wal import checkpoint_to_bytes, take_checkpoint
-
-        data = checkpoint_to_bytes(take_checkpoint(self.document, self.wal))
+        data = self.document.to_image()
         with open(path, "wb") as handle:
             handle.write(data)
         return len(data)
@@ -176,13 +177,12 @@ class Database:
         """Open a database image written by :meth:`save`.
 
         Keyword arguments (protocol, lock depth, ...) configure the new
-        instance around the restored document.
+        instance around the restored document.  A truncated or corrupted
+        file raises :class:`~repro.errors.StorageError`.
         """
-        from repro.txn.wal import checkpoint_from_bytes, restore_checkpoint
-
         with open(path, "rb") as handle:
-            checkpoint = checkpoint_from_bytes(handle.read())
-        return cls(document=restore_checkpoint(checkpoint), **kwargs)
+            document = Document.from_image(handle.read())
+        return cls(document=document, **kwargs)
 
     # -- statistics ---------------------------------------------------------------------
 

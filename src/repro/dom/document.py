@@ -21,6 +21,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import DocumentError, NodeNotFound
 from repro.splid import Splid, SplidAllocator
+from repro.storage import image
 from repro.storage.buffer import BufferManager, make_buffered_store
 from repro.storage.document_store import DocumentStore
 from repro.storage.element_index import ElementIndex, IdIndex
@@ -54,6 +55,38 @@ class Document:
         self.root = Splid.root()
         self.store.put(self.root, NodeRecord.element(self.vocabulary.intern(root_element)))
         self.element_index.add(root_element, self.root)
+
+    # -- page-exact image ----------------------------------------------------
+
+    def to_image(self) -> bytes:
+        """The page-exact image of this document (:mod:`repro.storage.image`)."""
+        return image.dump_document(
+            self.name, self.allocator.dist, self.vocabulary, self.buffer,
+            (self.store.tree, self.element_index.tree, self.id_index.tree),
+        )
+
+    @classmethod
+    def from_image(cls, data: bytes) -> "Document":
+        """A private, mutable document equal to the one ``data`` was dumped
+        from -- pages, pool residency, I/O counters, labels and all.
+
+        Raises :class:`~repro.errors.StorageError` on a truncated,
+        corrupted or wrong-version image.
+        """
+        parts = image.load_document(data)
+        store_tree, element_tree, id_tree = parts.trees
+        document = cls.__new__(cls)
+        document.name = parts.name
+        document.buffer = parts.buffer
+        document.vocabulary = parts.vocabulary
+        document.store = DocumentStore(parts.buffer, store_tree)
+        document.element_index = ElementIndex(
+            parts.buffer, parts.vocabulary, element_tree
+        )
+        document.id_index = IdIndex(parts.buffer, id_tree)
+        document.allocator = SplidAllocator(dist=parts.dist)
+        document.root = Splid.root()
+        return document
 
     # -- inspection ----------------------------------------------------------
 

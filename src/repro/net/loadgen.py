@@ -56,7 +56,7 @@ from repro.net import wire
 from repro.net.server import dispatch_call
 from repro.query import QueryProcessor
 from repro.sched.simulator import Delay, Simulator
-from repro.tamix.bibgen import generate_bib
+from repro.tamix.bibgen import load_bib
 from repro.tamix.cluster import CLUSTER1_MIX
 from repro.tamix.metrics import latency_slo
 from repro.txn.transaction import TxnState
@@ -611,7 +611,7 @@ def _sim_process(slot, conn: SimConnection, sim: Simulator):
 
 def run_sim(cfg: LoadGenConfig) -> Dict[str, Any]:
     """The deterministic executor: byte-identical report per seed."""
-    info = generate_bib(scale=cfg.scale, seed=cfg.doc_seed)
+    info = load_bib(cfg.scale, seed=cfg.doc_seed)
     database = Database(
         protocol=cfg.protocol,
         lock_depth=cfg.lock_depth,

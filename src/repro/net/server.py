@@ -60,7 +60,7 @@ from repro.obs import (
 )
 from repro.query import QueryProcessor
 from repro.sched.simulator import Delay, SimulationError
-from repro.tamix.bibgen import BibInfo, generate_bib
+from repro.tamix.bibgen import BibInfo, load_bib
 from repro.tamix.metrics import latency_slo
 from repro.txn.transaction import Transaction, TxnState
 
@@ -426,7 +426,7 @@ class LockServer:
     @classmethod
     def from_config(cls, config: ServerConfig) -> "LockServer":
         """Build a server plus its bib workload document from scratch."""
-        info = generate_bib(scale=config.scale, seed=config.seed)
+        info = load_bib(config.scale, seed=config.seed)
         database = Database(
             protocol=config.protocol,
             lock_depth=config.lock_depth,

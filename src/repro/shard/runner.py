@@ -29,7 +29,7 @@ from repro.errors import BenchmarkError, ChaosError
 from repro.shard.partition import PARTITION_LEVEL, plan_partitions
 from repro.shard.router import AdaptiveRetryPolicy, ShardedDatabase
 from repro.shard.transport import ProcessTransport, SimTransport
-from repro.tamix.bibgen import generate_bib
+from repro.tamix.bibgen import load_bib
 from repro.tamix.cluster import CLUSTER1_MIX, run_cluster1
 from repro.tamix.coordinator import TaMixConfig, TaMixCoordinator
 from repro.tamix.metrics import RunResult
@@ -175,7 +175,7 @@ def build_sharded_cluster(
                 f"sharded chaos only supports sites {SHARD_CHAOS_SITES}; "
                 f"schedule also targets {bad}"
             )
-    info = generate_bib(scale=scale, seed=2006)
+    info = load_bib(scale)
     plan = plan_partitions(info.document, shards)
 
     from repro.obs import Observability

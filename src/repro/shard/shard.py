@@ -16,8 +16,9 @@ belong to the router: a parked ticket is resolved only by a later
 ``RESUME`` (after the router observed the grant) or ``CANCEL`` (timeout
 or cross-shard deadlock victim).
 
-Each replica is rebuilt from the generator seed, so every shard holds a
-structurally identical document; the partition plan makes a shard
+Each replica is a private copy of the document generated from the
+generator seed (:func:`~repro.tamix.bibgen.load_bib`), so every shard
+holds a structurally identical document; the partition plan makes a shard
 authoritative for its own SPLID range, and the router never reads or
 writes a range on a non-owning shard.
 
@@ -51,7 +52,7 @@ from repro.obs.events import txn_label
 from repro.obs.tracer import NULL_TRACER, RingTracer
 from repro.sched.simulator import Delay
 from repro.shard import messages
-from repro.tamix.bibgen import generate_bib
+from repro.tamix.bibgen import load_bib
 
 
 class OutboxTracer(RingTracer):
@@ -117,7 +118,7 @@ class ShardServer:
         )
         self._scale = float(config.get("scale", 0.1))
         self._doc_seed = int(config.get("doc_seed", 2006))
-        info = generate_bib(scale=self._scale, seed=self._doc_seed)
+        info = load_bib(self._scale, seed=self._doc_seed)
         self.info = info
         self._wal_path = (
             str(config["wal_path"]) if config.get("wal_path") else None
@@ -379,7 +380,7 @@ class ShardServer:
 
         (now,) = fields
         self.now = float(now)
-        pristine = generate_bib(scale=self._scale, seed=self._doc_seed)
+        pristine = load_bib(self._scale, seed=self._doc_seed)
         base = take_checkpoint(pristine.document)
         replayed = recover(base, self.db.wal)
         commits = sum(

@@ -59,6 +59,18 @@ class BPTree:
         self._leaf_ids: Set[int] = {root.page_id}
         self._entry_count = 0
 
+    @classmethod
+    def attach(cls, buffer: BufferManager, root_id: int, leaf_ids: Set[int],
+               entry_count: int) -> "BPTree":
+        """A tree over pages that already exist in ``buffer``'s page file
+        (a loaded image); allocates nothing."""
+        tree = cls.__new__(cls)
+        tree.buffer = buffer
+        tree._root_id = root_id
+        tree._leaf_ids = leaf_ids
+        tree._entry_count = entry_count
+        return tree
+
     # -- bookkeeping -------------------------------------------------------
 
     def __len__(self) -> int:

@@ -30,9 +30,10 @@ from repro.storage.record import NodeRecord
 class DocumentStore:
     """One stored XML document: B*-tree of ``SPLID -> NodeRecord``."""
 
-    def __init__(self, buffer: Optional[BufferManager] = None):
+    def __init__(self, buffer: Optional[BufferManager] = None,
+                 tree: Optional[BPTree] = None):
         self.buffer = buffer if buffer is not None else make_buffered_store()
-        self.tree = BPTree(self.buffer)
+        self.tree = tree if tree is not None else BPTree(self.buffer)
 
     # -- point operations ----------------------------------------------------
 

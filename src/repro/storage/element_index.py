@@ -27,9 +27,10 @@ from repro.storage.vocabulary import Vocabulary
 class ElementIndex:
     """Name directory + per-name node-reference indexes."""
 
-    def __init__(self, buffer: BufferManager, vocabulary: Vocabulary):
+    def __init__(self, buffer: BufferManager, vocabulary: Vocabulary,
+                 tree: Optional[BPTree] = None):
         self.vocabulary = vocabulary
-        self.tree = BPTree(buffer)
+        self.tree = tree if tree is not None else BPTree(buffer)
 
     @staticmethod
     def _key(surrogate: int, splid: Splid) -> bytes:
@@ -75,8 +76,9 @@ class ElementIndex:
 class IdIndex:
     """Maps ``id`` attribute values to element SPLIDs (direct jumps)."""
 
-    def __init__(self, buffer: BufferManager):
-        self.tree = BPTree(buffer)
+    def __init__(self, buffer: BufferManager,
+                 tree: Optional[BPTree] = None):
+        self.tree = tree if tree is not None else BPTree(buffer)
 
     def add(self, id_value: str, element: Splid) -> None:
         key = id_value.encode("utf-8")

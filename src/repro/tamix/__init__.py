@@ -1,6 +1,6 @@
 """TaMix: the paper's XML benchmark framework (Section 4)."""
 
-from repro.tamix.bibgen import BibInfo, generate_bib
+from repro.tamix.bibgen import BibInfo, generate_bib, load_bib
 from repro.tamix.cluster import (
     CLUSTER1_MIX,
     make_database,
@@ -23,6 +23,7 @@ __all__ = [
     "TaMixCoordinator",
     "TypeMetrics",
     "generate_bib",
+    "load_bib",
     "make_database",
     "run_cluster1",
     "run_cluster2",

@@ -11,16 +11,25 @@ Full-scale composition as in the paper:
 The ``scale`` parameter shrinks everything proportionally (the paper notes
 bib "is highly scalable and may range from a few Kbytes to several hundred
 Mbytes"); generation is deterministic per seed.
+
+:func:`generate_bib` is the pure generator.  Everything that merely
+*needs* a pristine bib document calls :func:`load_bib`, which runs the
+generator once per argument set and process, keeps the document's
+page-exact image (:mod:`repro.storage.image`), and hands every later
+caller a private copy loaded from it.
 """
 
 from __future__ import annotations
 
 import random
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List
 
 from repro.dom.document import Document
 from repro.errors import BenchmarkError
+from repro.storage import image
 from repro.storage.buffer import make_buffered_store
 
 _FIRST_NAMES = ("Jim", "Theo", "Pat", "Erhard", "Michael", "Don", "Andreas",
@@ -30,6 +39,9 @@ _LAST_NAMES = ("Gray", "Haerder", "O'Neil", "Rahm", "Haustein", "Chamberlin",
 _TITLE_WORDS = ("Transaction", "Processing", "Concepts", "Techniques", "XML",
                 "Database", "Systems", "Concurrency", "Control", "Recovery",
                 "Indexing", "Benchmark")
+
+
+_BIB_MAGIC = b"XBIB"
 
 
 @dataclass
@@ -48,6 +60,26 @@ class BibInfo:
     @property
     def topics(self) -> int:
         return len(self.topic_ids)
+
+    def to_image(self) -> bytes:
+        """The document's page-exact image plus the three id lists."""
+        out = image.Writer()
+        for ids in (self.book_ids, self.topic_ids, self.person_ids):
+            out.texts(ids)
+        out.blob(self.document.to_image())
+        return image.seal(_BIB_MAGIC, out.getvalue())
+
+    @classmethod
+    def from_image(cls, data: bytes) -> "BibInfo":
+        """Inverse of :meth:`to_image`; a private copy on every call.
+
+        Raises :class:`~repro.errors.StorageError` on a damaged image.
+        """
+        reader = image.Reader(image.unseal(_BIB_MAGIC, data))
+        book_ids, topic_ids, person_ids = (reader.texts() for _ in range(3))
+        document = Document.from_image(reader.blob())
+        reader.finish()
+        return cls(document, book_ids, topic_ids, person_ids)
 
 
 def generate_bib(
@@ -135,4 +167,47 @@ def generate_bib(
                     lend, "return", f"2006-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}"
                 )
             info.book_ids.append(book_id)
+    return info
+
+
+#: Images kept by :func:`load_bib` (about 0.7 MB each at ``scale=0.1``);
+#: the least recently used one is dropped beyond this.
+_IMAGE_CACHE_SIZE = 8
+_image_cache: "OrderedDict[tuple, bytes]" = OrderedDict()
+_image_cache_lock = threading.Lock()
+
+
+def load_bib(
+    scale: float,
+    *,
+    seed: int = 2006,
+    buffer_pool_pages: int = 8192,
+    books_per_topic: int = 20,
+) -> BibInfo:
+    """A pristine bib document, generated at most once per process.
+
+    The first call for an argument set runs :func:`generate_bib`, keeps
+    the image of its result and returns the generated object; later calls
+    return ``BibInfo.from_image(...)``.  Either way the caller owns the
+    result: it is a private, mutable copy, byte-equal (as an image) to a
+    fresh ``generate_bib`` with the same arguments.
+    """
+    # ``scale`` enters the document name as text, so 1 and 1.0 differ.
+    key = (f"{scale}", seed, buffer_pool_pages, books_per_topic)
+    with _image_cache_lock:
+        data = _image_cache.get(key)
+        if data is not None:
+            _image_cache.move_to_end(key)
+    if data is not None:
+        return BibInfo.from_image(data)
+    info = generate_bib(
+        scale, seed=seed, buffer_pool_pages=buffer_pool_pages,
+        books_per_topic=books_per_topic,
+    )
+    data = info.to_image()
+    with _image_cache_lock:
+        _image_cache[key] = data
+        _image_cache.move_to_end(key)
+        while len(_image_cache) > _IMAGE_CACHE_SIZE:
+            _image_cache.popitem(last=False)
     return info

@@ -7,10 +7,10 @@
   level repeatable; the metric is the transaction's execution time, which
   exposes the *-2PL group's pre-delete ID scans (Figure 11).
 
-``run_cluster1``/``run_cluster2`` build a fresh bib document per call so
-runs never contaminate each other.  Lock depth is ignored by the three
-protocols without depth support (the paper sweeps only depth-aware
-protocols over depth).
+``run_cluster1``/``run_cluster2`` take a private copy of the bib document
+per call (:func:`~repro.tamix.bibgen.load_bib`) so runs never contaminate
+each other.  Lock depth is ignored by the three protocols without depth
+support (the paper sweeps only depth-aware protocols over depth).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional
 from repro.database import Database
 from repro.errors import DeadlockAbort
 from repro.sched.simulator import Simulator
-from repro.tamix.bibgen import BibInfo, generate_bib
+from repro.tamix.bibgen import BibInfo, load_bib
 from repro.tamix.coordinator import TaMixConfig, TaMixCoordinator
 from repro.tamix.metrics import RunResult
 from repro.tamix.transactions import ta_del_book
@@ -49,7 +49,7 @@ def make_database(
 ) -> tuple:
     """A database plus bib document for one benchmark run."""
     if info is None:
-        info = generate_bib(scale=scale, seed=seed)
+        info = load_bib(scale, seed=seed)
     database = Database(
         protocol=protocol,
         lock_depth=lock_depth,

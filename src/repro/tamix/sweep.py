@@ -6,8 +6,9 @@ expands an experiment matrix (protocols x lock depths x isolation levels
 x repetitions), runs every cell, aggregates repetitions, and persists the
 results as CSV/JSON so figures can be regenerated without re-running.
 
-Cells are independent (every cell builds its own document and seeds its
-own RNG streams), so :class:`SweepRunner` can fan them out across a
+Cells are independent (every cell takes a private copy of the document
+from :func:`~repro.tamix.bibgen.load_bib` and seeds its own RNG streams),
+so :class:`SweepRunner` can fan them out across a
 ``ProcessPoolExecutor`` (``workers=N``).  Per-cell seeds are derived the
 same way in both paths and results are aggregated in matrix order, so a
 parallel sweep is byte-identical to a serial one.
@@ -25,6 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.core.registry import get_protocol
 from repro.errors import BenchmarkError
 from repro.obs import WAIT_TIME_BUCKETS_MS
+from repro.tamix.bibgen import load_bib
 from repro.tamix.cluster import run_cluster1
 from repro.tamix.metrics import RunResult, latency_slo
 
@@ -388,6 +390,9 @@ class SweepRunner:
         caller falls back to serial execution for the cells not yet
         delivered.
         """
+        # Generate the document once, here: forked workers inherit its
+        # image instead of each regenerating it for their first cell.
+        load_bib(self.spec.scale)
         try:
             from concurrent.futures import ProcessPoolExecutor
             from concurrent.futures import TimeoutError as FutureTimeout

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.dom.document import Document
 from repro.errors import StorageError
 from repro.splid import Splid, decode, encode
+from repro.splid.allocator import DEFAULT_DIST
 from repro.storage.record import NodeRecord
 
 
@@ -319,6 +320,10 @@ class Checkpoint:
     entries: Tuple[Tuple[bytes, bytes], ...]
     #: LSN up to which the checkpoint already reflects the log.
     lsn: int = 0
+    #: Document name and allocator gap: without ``dist`` a restored
+    #: document would label its next insert differently from the live one.
+    name: str = "document"
+    dist: int = DEFAULT_DIST
 
 
 def take_checkpoint(document: Document, log: Optional[WriteAheadLog] = None) -> Checkpoint:
@@ -333,6 +338,8 @@ def take_checkpoint(document: Document, log: Optional[WriteAheadLog] = None) -> 
             for splid, record in document.walk()
         ),
         lsn=0 if log is None else log.last_lsn,
+        name=document.name,
+        dist=document.allocator.dist,
     )
 
 
@@ -340,7 +347,8 @@ def checkpoint_to_bytes(checkpoint: Checkpoint) -> bytes:
     """Serialize a checkpoint (the on-disk database image)."""
     out = io.BytesIO()
     _write_str(out, checkpoint.root_name)
-    out.write(struct.pack(">Q", checkpoint.lsn))
+    _write_str(out, checkpoint.name)
+    out.write(struct.pack(">QI", checkpoint.lsn, checkpoint.dist))
     out.write(struct.pack(">I", len(checkpoint.names)))
     for name in checkpoint.names:
         _write_str(out, name)
@@ -356,7 +364,8 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
     """Inverse of :func:`checkpoint_to_bytes`."""
     stream = io.BytesIO(data)
     root_name = _read_str(stream)
-    (lsn,) = struct.unpack(">Q", _read_exact(stream, 8))
+    name = _read_str(stream)
+    lsn, dist = struct.unpack(">QI", _read_exact(stream, 12))
     (name_count,) = struct.unpack(">I", _read_exact(stream, 4))
     names = tuple(_read_str(stream) for _i in range(name_count))
     (entry_count,) = struct.unpack(">I", _read_exact(stream, 4))
@@ -366,11 +375,14 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
         entries.append(
             (_read_exact(stream, key_len), _read_exact(stream, value_len))
         )
-    return Checkpoint(root_name, names, tuple(entries), lsn)
+    return Checkpoint(root_name, names, tuple(entries), lsn, name, dist)
 
 
 def restore_checkpoint(checkpoint: Checkpoint) -> Document:
-    document = Document(root_element=checkpoint.root_name)
+    document = Document(
+        name=checkpoint.name, root_element=checkpoint.root_name,
+        dist=checkpoint.dist,
+    )
     for name in checkpoint.names:
         document.vocabulary.intern(name)
     # Wipe the implicit root entry, then restore the exact image.

@@ -120,6 +120,34 @@ class TestWalRestart:
         finally:
             cluster.close()
 
+    def test_replicas_and_snapshots_take_private_copies_of_one_image(self):
+        from repro.tamix import bibgen
+
+        bibgen._image_cache.clear()
+        cluster = build_sharded_cluster("taDOM3+", shards=2, scale=0.05)
+        try:
+            # Coordinator plus two in-process replicas: one generation.
+            assert len(bibgen._image_cache) == 1
+            (pristine,) = bibgen._image_cache.values()
+            replicas = [s.db.document for s in cluster.transport.servers]
+            assert replicas[0] is not replicas[1]
+            assert replicas[0].buffer is not replicas[1].buffer
+            config = TaMixConfig(
+                protocol="taDOM3+", lock_depth=4, isolation="repeatable",
+                run_duration_ms=2_000.0, mix=dict(CLUSTER1_MIX), seed=5,
+            )
+            TaMixCoordinator(cluster.database, cluster.info, config).run()
+            cluster.database.abort_in_flight(reason="rollback")
+            # The live replicas moved on; the snapshot's pristine replica
+            # still comes from the untouched image.
+            for shard_id in (0, 1):
+                snapshot = self.snapshot(cluster, shard_id)
+                assert snapshot["commits_in_wal"] > 0
+                assert snapshot["live_image"] == snapshot["replayed_image"]
+            assert list(bibgen._image_cache.values()) == [pristine]
+        finally:
+            cluster.close()
+
     def test_cold_start_without_wal_file_is_pristine(self):
         cluster = build_sharded_cluster(
             "taDOM3+", shards=1, scale=0.02, fault_schedule=self.NEVER,

@@ -103,6 +103,8 @@ def test_serial_and_parallel_sweep_agree():
 
 
 def test_parallel_sweep_csv_matches_serial():
+    from repro.tamix import bibgen
+
     spec = SweepSpec(
         protocols=("taDOM3+",),
         lock_depths=(4,),
@@ -111,8 +113,17 @@ def test_parallel_sweep_csv_matches_serial():
         scale=0.05,
         run_duration_ms=3_000.0,
     )
+    # Cold image cache: the first cell runs on the generated document,
+    # the second on a copy loaded from its image.
+    bibgen._image_cache.clear()
     serial_runner = SweepRunner(spec)
     serial_runner.run()
+    assert len(bibgen._image_cache) == 1
+    # Warm cache: every cell runs on a loaded copy.
+    warm_runner = SweepRunner(spec)
+    warm_runner.run()
+    assert warm_runner.to_csv() == serial_runner.to_csv()
+    assert warm_runner.to_json() == serial_runner.to_json()
     parallel_runner = SweepRunner(spec, workers=2)
     parallel_runner.run()
     assert parallel_runner.to_csv() == serial_runner.to_csv()

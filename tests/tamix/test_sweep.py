@@ -96,6 +96,15 @@ class TestParallelRunner:
         runner.run(progress=lambda cell, outcome: seen.append(cell))
         assert seen == list(small_spec().cells())
 
+    def test_parent_holds_the_document_image_before_forking(self):
+        from repro.tamix import bibgen
+
+        bibgen._image_cache.clear()
+        SweepRunner(small_spec(), workers=2).run()
+        # The workers' copies came from this image, not from per-cell
+        # generation: the parent generated once, before the pool existed.
+        assert [key[0] for key in bibgen._image_cache] == ["0.02"]
+
     def test_workers_normalized(self):
         assert SweepRunner(small_spec(), workers=0).workers == 1
         assert SweepRunner(small_spec(), workers=-3).workers == 1

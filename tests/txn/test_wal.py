@@ -197,6 +197,31 @@ class TestCheckpoints:
         assert restored.exists(inserted)
 
 
+    def test_restore_keeps_name_and_allocator_gap(self):
+        from repro.dom.document import Document
+        from repro.txn.wal import checkpoint_from_bytes, checkpoint_to_bytes
+
+        live = Document(name="library", root_element="bib", dist=8)
+        live.add_element(live.root, "topics")
+        checkpoint = take_checkpoint(live)
+        for restored in (
+            restore_checkpoint(checkpoint),
+            restore_checkpoint(
+                checkpoint_from_bytes(checkpoint_to_bytes(checkpoint))
+            ),
+        ):
+            assert restored.name == "library"
+            assert restored.allocator.dist == 8
+            # The next label after recovery is the one the live document
+            # hands out (dist=2 would give 1.11 instead of 1.17).
+            twin = Document(name="library", root_element="bib", dist=8)
+            twin.add_element(twin.root, "topics")
+            assert (
+                restored.add_element(restored.root, "persons")
+                == twin.add_element(twin.root, "persons")
+            )
+
+
 class TestCheckpointBytes:
     def test_round_trip(self):
         from repro.txn.wal import checkpoint_from_bytes, checkpoint_to_bytes
@@ -209,6 +234,7 @@ class TestCheckpointBytes:
         assert loaded.names == checkpoint.names
         assert loaded.entries == checkpoint.entries
         assert loaded.lsn == checkpoint.lsn
+        assert loaded == checkpoint
 
     def test_database_save_and_load(self, tmp_path):
         db = make_db()
@@ -232,6 +258,24 @@ class TestCheckpointBytes:
         entries, _ = reopened.run(reopened.nodes.read_subtree(txn2, book))
         reopened.commit(txn2)
         assert len(entries) > 5
+
+    def test_saved_file_is_the_page_image(self, tmp_path):
+        import pytest
+
+        from repro import Database
+        from repro.errors import StorageError
+
+        db = make_db()
+        path = tmp_path / "library.xdb"
+        db.save(path)
+        data = path.read_bytes()
+        assert data == db.document.to_image()
+        reopened = Database.load_file(path)
+        assert reopened.document.to_image() == data
+        assert reopened.document.buffer.stats == db.document.buffer.stats
+        path.write_bytes(data[:-1])
+        with pytest.raises(StorageError):
+            Database.load_file(path)
 
 
 class TestRecovery:
