@@ -1,7 +1,9 @@
 """Load-generator tests: deterministic sim mode (byte-identical seeded
 reports), zipfian sampling, and a small live run against a real server."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,26 @@ SIM_CFG = dict(
     mode="sim", clients=20, duration_ms=4_000.0, rate_tps=200.0,
     think_ms=1.0, seed=2006, scale=0.05, wait_timeout_ms=500.0,
 )
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_loadgen_sim.json")
+    .read_text(encoding="utf-8")
+)
+
+#: The seeded sim runs the golden file pins: CI's ``repro loadgen --sim``
+#: arguments, and an overloaded run where admission QUEUE back-offs,
+#: SHEDs and client-side restarts all occur.
+GOLDEN_CONFIGS = {
+    "ci": dict(clients=50, duration_ms=4_000.0, rate_tps=200.0, scale=0.05),
+    "overload": dict(
+        clients=40, duration_ms=4_000.0, rate_tps=2_000.0, think_ms=1.0,
+        scale=0.05, wait_timeout_ms=100.0,
+        admission=AdmissionPolicy(max_pressure=1, max_queue_waits=2,
+                                  queue_backoff_ms=5.0),
+        retry=RetryPolicy(max_restarts=2, base_backoff_ms=1.0,
+                          max_backoff_ms=4.0),
+    ),
+}
 
 
 class TestZipfSampler:
@@ -86,6 +108,18 @@ class TestSimDeterminism:
         # overload must be *reported*, not silently absorbed
         assert "sheds" in report["overall"]
         assert report["config"]["retry"]["max_restarts"] == 2
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_CONFIGS))
+    def test_seeded_report_matches_golden_digest(self, key):
+        report = run_sim(LoadGenConfig(mode="sim", **GOLDEN_CONFIGS[key]))
+        if key == "overload":
+            overall = report["overall"]
+            assert overall["sheds"] and overall["retries"] \
+                and overall["aborted"]
+        digest = hashlib.sha256(
+            render_report(report).encode("utf-8")
+        ).hexdigest()
+        assert digest == GOLDEN[key]
 
 
 class TestLiveMode:
