@@ -19,9 +19,10 @@ Two executors drive the same client-slot generators:
   capped connection pool (a thousand clients share ~64 sockets; pool
   queueing counts into open-loop latency).
 * **sim** -- the discrete-event :class:`~repro.sched.simulator
-  .Simulator` with an in-process transport that still round-trips every
-  request and reply through the :mod:`repro.net.wire` codec.  Simulated
-  clocks only: a fixed seed produces a byte-identical report.
+  .Simulator` driving the server's own
+  :class:`~repro.net.server.RequestHandler` in-process: every request
+  and reply still crosses the :mod:`repro.net.wire` codec as a frame.
+  Simulated clocks only: a fixed seed produces a byte-identical report.
 
 Client slots yield :class:`Think`/:class:`Begin`/:class:`Op`/
 :class:`Qry`/:class:`Commit` effects; the executor owns transport,
@@ -42,7 +43,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.chaos.retry import ADMIT, QUEUE, AdmissionPolicy, RetryPolicy
+from repro.chaos.retry import AdmissionPolicy, RetryPolicy
 from repro.database import Database
 from repro.errors import (
     AdmissionRejected,
@@ -50,16 +51,13 @@ from repro.errors import (
     ReproError,
     TransactionAborted,
     TransientError,
-    is_transient,
 )
 from repro.net import wire
-from repro.net.server import dispatch_call
-from repro.query import QueryProcessor
+from repro.net.server import RequestHandler, ServerConfig
 from repro.sched.simulator import Delay, Simulator
 from repro.tamix.bibgen import load_bib
 from repro.tamix.cluster import CLUSTER1_MIX
 from repro.tamix.metrics import latency_slo
-from repro.txn.transaction import TxnState
 
 
 # -- effects ------------------------------------------------------------------
@@ -441,136 +439,55 @@ def client_slot(cfg: LoadGenConfig, ctx: ProgramContext, picker: _MixPicker,
             now = yield Think(cfg.retry.backoff_ms(restarts, rng))
 
 
+# -- effects on the wire ------------------------------------------------------
+
+
+class _Session:
+    """One client's open transaction, as both executors see it: which
+    request frame an effect stands for, and what its reply resumes the
+    slot with."""
+
+    __slots__ = ("isolation", "txn_id")
+
+    def __init__(self, isolation: Optional[str]):
+        self.isolation = isolation
+        self.txn_id: Optional[int] = None
+
+    def request(self, effect) -> Tuple[Any, ...]:
+        """``(opcode, *fields)`` of the request frame for ``effect``."""
+        if isinstance(effect, Op):
+            return (wire.OP_CALL, self.txn_id, effect.name,
+                    tuple(effect.args))
+        if isinstance(effect, Qry):
+            return wire.OP_QUERY, self.txn_id, effect.path
+        if isinstance(effect, Begin):
+            return wire.OP_BEGIN, effect.txn_type, self.isolation
+        if isinstance(effect, Commit):
+            return wire.OP_COMMIT, self.txn_id
+        raise ProtocolError(f"unknown effect {effect!r}")
+
+    def resume(self, effect, body: Tuple[Any, ...], now_ms: float):
+        """The value the slot resumes with, given the reply ``body``."""
+        if isinstance(effect, (Op, Qry)):
+            return now_ms, body[0]
+        self.txn_id = int(body[0]) if isinstance(effect, Begin) else None
+        return now_ms
+
+
 # -- sim executor -------------------------------------------------------------
 
 
-def _error_roundtrip(exc: Exception) -> Exception:
-    """Push an error through ERROR-frame encode/decode (codec fidelity)."""
-    _opcode, body = wire.decode_frame(wire.encode_error(exc))
-    return wire.decode_error(body)
+def _sim_process(slot, handler: RequestHandler, sim: Simulator,
+                 isolation: Optional[str]):
+    """Drive one client slot as a Simulator process.
 
-
-class SimTransport:
-    """In-process server core for the deterministic executor.
-
-    Mirrors :class:`~repro.net.server.LockServer` semantics -- admission
-    on BEGIN, abort-on-failed-operation, typed ERROR frames -- but runs
-    on simulated time, and round-trips every request and reply through
-    the wire codec so sim runs exercise the same byte layer as live
-    ones.
+    A loopback connection to the server's own request handler: every
+    request and reply crosses the wire codec as a frame, and whatever
+    the handler blocks on (admission back-off, lock waits, cost-model
+    delays) is yielded on to the simulator.
     """
-
-    def __init__(self, database: Database, *,
-                 isolation: Optional[str] = None,
-                 admission: Optional[AdmissionPolicy] = None):
-        self.database = database
-        self.nodes = database.nodes
-        self.query = QueryProcessor(database.nodes)
-        self.isolation = isolation
-        self.admission = admission.controller() if admission else None
-        self.sheds = 0
-
-    def connection(self) -> "SimConnection":
-        return SimConnection(self)
-
-
-class SimConnection:
-    """Per-client transport state (mirrors one TCP connection)."""
-
-    __slots__ = ("transport", "txn", "in_restart")
-
-    def __init__(self, transport: SimTransport):
-        self.transport = transport
-        self.txn = None
-        self.in_restart = False
-
-    def begin(self, txn_type: str):
-        t = self.transport
-        _op, body = wire.decode_frame(wire.encode_frame(
-            wire.OP_BEGIN, txn_type, t.isolation
-        ))
-        name = str(body[0])
-        if t.admission is not None and not self.in_restart:
-            waits = 0
-            while True:
-                decision = t.admission.admit(waits)
-                if decision is ADMIT:
-                    break
-                if decision is QUEUE:
-                    waits += 1
-                    yield Delay(t.admission.policy.queue_backoff_ms)
-                    continue
-                t.sheds += 1  # SHED
-                raise _error_roundtrip(AdmissionRejected(
-                    f"admission control shed {name!r} "
-                    f"(pressure {t.admission.pressure})"
-                ))
-        self.txn = t.database.begin(
-            name, None if body[1] is None else str(body[1])
-        )
-        _op, reply = wire.decode_frame(wire.encode_frame(
-            wire.OP_BEGUN, self.txn.txn_id
-        ))
-        return int(reply[0])
-
-    def call(self, name: str, args: Tuple[Any, ...]):
-        t = self.transport
-        _op, body = wire.decode_frame(wire.encode_frame(
-            wire.OP_CALL, self.txn.txn_id, name, tuple(args)
-        ))
-        generator = dispatch_call(t.nodes, self.txn, str(body[1]), body[2])
-        return (yield from self._serve(generator))
-
-    def query(self, path: str):
-        t = self.transport
-        _op, body = wire.decode_frame(wire.encode_frame(
-            wire.OP_QUERY, self.txn.txn_id, path
-        ))
-        generator = t.query.evaluate(self.txn, str(body[1]))
-        return (yield from self._serve(generator))
-
-    def _serve(self, generator):
-        try:
-            value = yield from generator
-        except (ReproError, ValueError, TypeError, AttributeError) as exc:
-            raise self._fail(exc) from None
-        _op, reply = wire.decode_frame(wire.encode_frame(
-            wire.OP_RESULT, value, 0.0
-        ))
-        return reply[0]
-
-    def _fail(self, exc: Exception) -> Exception:
-        """Server-side failure handling: abort, track restart pressure."""
-        t = self.transport
-        reason = str(getattr(exc, "reason", "") or "")
-        if not reason:
-            reason = "storage" if isinstance(exc, ReproError) else "error"
-        txn, self.txn = self.txn, None
-        if txn is not None and txn.state is TxnState.ACTIVE:
-            t.database.abort(txn, reason=reason)
-        if is_transient(exc) and t.admission is not None \
-                and not self.in_restart:
-            t.admission.enter_restart()
-            self.in_restart = True
-        return _error_roundtrip(exc)
-
-    def commit(self) -> None:
-        t = self.transport
-        wire.decode_frame(wire.encode_frame(wire.OP_COMMIT, self.txn.txn_id))
-        t.database.commit(self.txn)
-        self.txn = None
-        if self.in_restart and t.admission is not None:
-            t.admission.leave_restart()
-            self.in_restart = False
-
-    def cleanup(self) -> None:
-        txn, self.txn = self.txn, None
-        if txn is not None and txn.state is TxnState.ACTIVE:
-            self.transport.database.abort(txn, reason="rollback")
-
-
-def _sim_process(slot, conn: SimConnection, sim: Simulator):
-    """Drive one client slot as a Simulator process."""
+    conn = handler.connect()
+    session = _Session(isolation)
     value: Any = None
     error: Optional[BaseException] = None
     try:
@@ -589,24 +506,24 @@ def _sim_process(slot, conn: SimConnection, sim: Simulator):
                     if effect.ms > 0.0:
                         yield Delay(effect.ms)
                     value = sim.now
-                elif isinstance(effect, Begin):
-                    yield from conn.begin(effect.txn_type)
-                    value = sim.now
-                elif isinstance(effect, Op):
-                    result = yield from conn.call(effect.name, effect.args)
-                    value = (sim.now, result)
-                elif isinstance(effect, Qry):
-                    result = yield from conn.query(effect.path)
-                    value = (sim.now, result)
-                elif isinstance(effect, Commit):
-                    conn.commit()
-                    value = sim.now
-                else:
-                    raise ProtocolError(f"unknown effect {effect!r}")
+                    continue
+                opcode, body = wire.decode_frame(
+                    wire.encode_frame(*session.request(effect))
+                )
+                reply = handler.dispatch(conn, opcode, body)
+                if not isinstance(reply, bytes):
+                    reply = yield from reply
+                opcode, body = wire.decode_frame(reply)
+                if opcode == wire.OP_ERROR:
+                    raise wire.decode_error(body)
+                value = session.resume(effect, body, sim.now)
             except ReproError as exc:
+                # The server aborts the transaction on any failed
+                # operation.
+                session.txn_id = None
                 error = exc
     finally:
-        conn.cleanup()
+        handler.abandon(conn)
 
 
 def run_sim(cfg: LoadGenConfig) -> Dict[str, Any]:
@@ -620,9 +537,10 @@ def run_sim(cfg: LoadGenConfig) -> Dict[str, Any]:
         wait_timeout_ms=cfg.wait_timeout_ms,
     )
     sim = Simulator()
-    database.set_clock(lambda: sim.now)
-    transport = SimTransport(
-        database, isolation=cfg.isolation, admission=cfg.admission
+    handler = RequestHandler(
+        database,
+        clock=lambda: sim.now,
+        config=ServerConfig(admission=cfg.admission, telemetry=False),
     )
     stats = LoadStats()
     ctx = _make_context(cfg, info.book_ids, info.topic_ids, info.person_ids)
@@ -651,7 +569,7 @@ def run_sim(cfg: LoadGenConfig) -> Dict[str, Any]:
         rng = random.Random(master.randrange(2 ** 62))
         slot = client_slot(cfg, ctx, picker, stats, rng, cfg.duration_ms)
         sim.spawn(
-            _sim_process(slot, transport.connection(), sim),
+            _sim_process(slot, handler, sim, cfg.isolation),
             name=f"client-{index}",
         )
     sim.run(until=cfg.duration_ms)
@@ -756,11 +674,11 @@ async def _live_slot(slot, pool: _AsyncPool, t0: float,
         return (time.monotonic() - t0) * 1000.0
 
     conn: Optional[_AsyncWire] = None
-    txn_id: Optional[int] = None
+    session = _Session(isolation)
 
     def drop_conn() -> None:
-        nonlocal conn, txn_id
-        txn_id = None
+        nonlocal conn
+        session.txn_id = None
         if conn is not None:
             pool.release(conn)
             conn = None
@@ -783,55 +701,32 @@ async def _live_slot(slot, pool: _AsyncPool, t0: float,
                     if effect.ms > 0.0:
                         await asyncio.sleep(effect.ms / 1000.0)
                     value = now_ms()
-                elif isinstance(effect, Begin):
-                    if conn is None:
-                        try:
-                            conn = await pool.acquire()
-                        except OSError as exc:
-                            raise ProtocolError(
-                                f"dial failed: {exc}"
-                            ) from None
+                    continue
+                request = session.request(effect)
+                if conn is None:
                     try:
-                        _op, body = await conn.request(
-                            wire.OP_BEGIN, effect.txn_type, isolation
-                        )
-                    except ReproError:
-                        drop_conn()
-                        raise
-                    txn_id = int(body[0])
-                    value = now_ms()
-                elif isinstance(effect, (Op, Qry)):
-                    try:
-                        if isinstance(effect, Qry):
-                            _op, body = await conn.request(
-                                wire.OP_QUERY, txn_id, effect.path
-                            )
-                        else:
-                            _op, body = await conn.request(
-                                wire.OP_CALL, txn_id, effect.name,
-                                tuple(effect.args),
-                            )
-                    except ReproError:
-                        # The server aborts the transaction on any
-                        # failed operation; the lease goes back.
-                        drop_conn()
-                        raise
-                    value = (now_ms(), body[0])
-                elif isinstance(effect, Commit):
-                    try:
-                        await conn.request(wire.OP_COMMIT, txn_id)
-                    finally:
-                        drop_conn()
-                    value = now_ms()
-                else:
-                    raise ProtocolError(f"unknown effect {effect!r}")
+                        conn = await pool.acquire()
+                    except OSError as exc:
+                        raise ProtocolError(f"dial failed: {exc}") from None
+                try:
+                    _op, body = await conn.request(*request)
+                except ReproError:
+                    # The server aborts the transaction on any failed
+                    # operation; the lease goes back.
+                    drop_conn()
+                    raise
+                value = session.resume(effect, body, now_ms())
+                if isinstance(effect, Commit):
+                    drop_conn()
             except ReproError as exc:
                 error = exc
     finally:
         if conn is not None:
-            if txn_id is not None:
+            if session.txn_id is not None:
                 try:
-                    await conn.request(wire.OP_ABORT, txn_id, "rollback")
+                    await conn.request(
+                        wire.OP_ABORT, session.txn_id, "rollback"
+                    )
                 except Exception:
                     conn.close()
             pool.release(conn)

@@ -11,6 +11,13 @@ runs atomically on the single loop thread, which is exactly the
 latch-protected atomicity the lock table expects (see DESIGN.md and
 :mod:`repro.sched.threaded`).
 
+Two classes split the work.  :class:`RequestHandler` decides what one
+request frame does -- sans IO, on whatever clock it is given, blocking
+requests expressed as effect generators -- and :class:`LockServer` is
+the asyncio shell that feeds it frames from sockets.  The load
+generator's sim executor feeds the *same* handler from the
+discrete-event simulator, so simulated traffic measures this server.
+
 Overload protection is the PR 5 story wired to the network edge: a
 :class:`~repro.chaos.retry.AdmissionController` gates BEGIN frames
 (queue with backoff, then shed with a typed
@@ -36,7 +43,7 @@ import random
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.chaos.retry import ADMIT, QUEUE, AdmissionPolicy
 from repro.core.protocol import Access
@@ -177,10 +184,6 @@ class ServerConfig:
     #: Real-milliseconds lock-wait timeout (the database clock is wall
     #: time on a live server).
     wait_timeout_ms: Optional[float] = 5_000.0
-    #: Real seconds slept per simulated millisecond of ``Delay`` cost
-    #: (0.0 -- the default -- never sleeps: cost-model delays are
-    #: simulation artifacts, the hardware sets the pace).
-    time_scale: float = 0.0
     enable_wal: bool = False
     observability: Any = None
     #: Admission control for BEGIN frames; ``None`` admits everything.
@@ -188,7 +191,7 @@ class ServerConfig:
     escalation_threshold: Optional[int] = None
     #: Live telemetry plane: windowed series, slow-request log, loop-lag
     #: probe, TELEMETRY/SUBSCRIBE frames.  Disabled, the request path
-    #: pays one ``is not None`` check (gated by the perf harness).
+    #: pays one ``is not None`` check.
     telemetry: bool = True
     telemetry_window_ms: float = 1_000.0
     telemetry_capacity: int = 120
@@ -247,7 +250,7 @@ class TelemetryPlane:
     the only per-request work is :meth:`note_request`.
     """
 
-    def __init__(self, server: "LockServer"):
+    def __init__(self, server: "RequestHandler"):
         config = server.config
         self.server = server
         self.registry = MetricsRegistry()
@@ -261,7 +264,7 @@ class TelemetryPlane:
             self.snapshot,
             window_ms=config.telemetry_window_ms,
             capacity=config.telemetry_capacity,
-            clock=server._now_ms,
+            clock=server.clock,
         )
         self._window_samples: List[float] = []
         self.series.add_sampler("request_ms", self._drain_samples)
@@ -298,7 +301,7 @@ class TelemetryPlane:
         registry.gauge("server.active_txns").set(
             server.database.transactions.active_count
         )
-        registry.gauge("server.uptime_ms").set(round(server._now_ms(), 3))
+        registry.gauge("server.uptime_ms").set(round(server.clock(), 3))
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """One merged typed snapshot: database plane + server plane."""
@@ -331,7 +334,7 @@ class TelemetryPlane:
             "service_ms": round(service_ms, 3),
             "lock_wait_ms": round(lock_wait_ms, 3),
             "sim_cost_ms": round(sim_cost_ms, 3),
-            "t_ms": round(self.server._now_ms(), 3),
+            "t_ms": round(self.server.clock(), 3),
             "txn": txn,
         }
         if trace is not None:
@@ -365,20 +368,13 @@ class _Subscriber:
         self.dropped = 0
 
 
-class _DriveStats:
-    """Per-request attribution accumulated while driving a generator."""
-
-    __slots__ = ("lock_wait_ms", "sim_cost_ms")
-
-    def __init__(self):
-        self.lock_wait_ms = 0.0
-        self.sim_cost_ms = 0.0
-
-
 class _Connection:
-    """Per-connection state: negotiated version, open transactions."""
+    """Per-connection state: negotiated version, open transactions, and
+    the current request's time attribution (cost-model ``Delay`` ms vs.
+    time parked on lock waits), filled in by whoever drives it."""
 
-    __slots__ = ("name", "version", "txns", "started", "in_restart")
+    __slots__ = ("name", "version", "txns", "started", "in_restart",
+                 "lock_wait_ms", "sim_cost_ms")
 
     def __init__(self):
         self.name = "?"
@@ -386,21 +382,39 @@ class _Connection:
         self.txns: Dict[int, Tuple[Transaction, str, float]] = {}
         self.started = 0.0
         self.in_restart = False
+        self.lock_wait_ms = self.sim_cost_ms = 0.0
 
 
-class LockServer:
-    """Serves one database over the wire protocol."""
+class Pause(Delay):
+    """A delay that must really pass before the generator resumes:
+    simulated ms under the Simulator, wall ms in ``LockServer._drive``."""
+
+
+class RequestHandler:
+    """What the server does with one request frame -- and nothing else.
+
+    Sans-IO: owns the database, the query processor, SLO tracking,
+    admission control, per-connection transaction state, the counters
+    and the optional telemetry plane, and reads time only through
+    ``clock`` (milliseconds).  :class:`LockServer` drives it from
+    sockets on the asyncio loop with a wall clock; the load generator's
+    sim executor drives the same object from
+    :class:`~repro.sched.simulator.Simulator` processes with the
+    simulated clock.
+    """
 
     def __init__(
         self,
         database: Database,
         *,
+        clock: Callable[[], float],
         config: Optional[ServerConfig] = None,
         info: Optional[BibInfo] = None,
     ):
         self.config = config or ServerConfig()
         self.database = database
         self.info = info
+        self.clock = clock
         self.nodes = database.nodes
         self.query = QueryProcessor(database.nodes)
         self.slo = SloTracker()
@@ -413,14 +427,303 @@ class LockServer:
         self.requests = 0
         self.requests_by_opcode: Dict[str, int] = {}
         self.connections = 0
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._t0 = time.monotonic()
-        database.set_clock(self._now_ms)
-        # Built synchronously (no running loop needed) so from_config
-        # works off-loop; the sampler task starts with the server.
+        database.set_clock(clock)
         self._plane: Optional[TelemetryPlane] = (
             TelemetryPlane(self) if self.config.telemetry else None
         )
+
+    # -- stats ---------------------------------------------------------------
+
+    def server_info(self) -> Dict[str, Any]:
+        """The WELCOME/INFO payload: identity plus workload handles."""
+        document = self.database.document
+        payload: Dict[str, Any] = {
+            "protocol": self.database.protocol.name,
+            "lock_depth": self.database.lock_depth,
+            "isolation": self.database.default_isolation.value,
+            "root": document.name_of(document.root),
+            "nodes": int(document.statistics()["nodes"]),
+        }
+        if self.info is not None:
+            payload["book_ids"] = list(self.info.book_ids)
+            payload["topic_ids"] = list(self.info.topic_ids)
+            payload["person_ids"] = list(self.info.person_ids)
+        return payload
+
+    def stats(self) -> Dict[str, Any]:
+        """The STATS payload: SLO percentiles and overload counters."""
+        return {
+            "slo": self.slo.slo(),
+            "committed": self.slo.committed,
+            "aborted": self.slo.aborted,
+            "aborted_by_reason": dict(sorted(
+                self.slo.aborted_by_reason.items()
+            )),
+            "sheds": self.sheds,
+            "protocol_errors": self.protocol_errors,
+            "requests": self.requests,
+            "requests_by_opcode": dict(sorted(
+                self.requests_by_opcode.items()
+            )),
+            "connections": self.connections,
+            "active_txns": self.database.transactions.active_count,
+            "uptime_ms": round(self.clock(), 3),
+        }
+
+    def telemetry(self) -> Dict[str, Any]:
+        """The TELEMETRY payload: windowed series + live snapshot.
+
+        The series' own ``snapshot`` field is the image at the last
+        sampler tick (deterministic under a simulated clock); the
+        payload overrides it with a fresh merged snapshot so a one-shot
+        scrape sees the current totals, and adds the slow-request log.
+        """
+        plane = self._plane
+        if plane is None:
+            raise ReproError("telemetry is disabled on this server")
+        payload = plane.series.to_dict()
+        payload["snapshot"] = plane.snapshot()
+        payload["uptime_ms"] = round(self.clock(), 3)
+        payload["slow_requests"] = plane.slow.as_list()
+        return payload
+
+    # -- connections ---------------------------------------------------------
+
+    def connect(self) -> _Connection:
+        self.connections += 1
+        return _Connection()
+
+    def abandon(self, conn: _Connection) -> None:
+        """Roll back whatever a vanished connection left active."""
+        for txn, _name, _started in conn.txns.values():
+            if txn.state is TxnState.ACTIVE:
+                self.database.abort(txn, reason="rollback")
+        conn.txns.clear()
+        if conn.in_restart and self.admission is not None:
+            self.admission.leave_restart()
+            conn.in_restart = False
+
+    # -- one request frame -> one reply frame --------------------------------
+
+    def count(self, opcode: int) -> None:
+        self.requests += 1
+        name = wire.OPCODE_NAMES.get(opcode, f"0x{opcode:02x}")
+        self.requests_by_opcode[name] = (
+            self.requests_by_opcode.get(name, 0) + 1
+        )
+
+    def dispatch(self, conn, opcode: int, body):
+        """The reply to one request frame.
+
+        BEGIN, CALL and QUERY can block (admission queueing, lock
+        waits): for them the result is a generator that yields
+        ``Delay``/``Pause``/``WaitTicket`` effects and *returns* the
+        reply frame.  Every other opcode answers at once with the frame
+        bytes.
+        """
+        self.count(opcode)
+        if opcode in (wire.OP_CALL, wire.OP_QUERY):
+            return self._work(conn, opcode, body)
+        if opcode == wire.OP_BEGIN:
+            return self._begin(conn, body)
+        if opcode == wire.OP_COMMIT:
+            return self._commit(conn, body)
+        if opcode == wire.OP_ABORT:
+            return self._abort(conn, body)
+        if opcode == wire.OP_PING:
+            return wire.encode_frame(wire.OP_PONG)
+        if opcode == wire.OP_INFO:
+            return wire.encode_frame(
+                wire.OP_RESULT, self.server_info(), 0.0
+            )
+        if opcode == wire.OP_STATS:
+            return wire.encode_frame(wire.OP_RESULT, self.stats(), 0.0)
+        if opcode == wire.OP_TELEMETRY:
+            if self._plane is None:
+                return wire.encode_error(
+                    ReproError("telemetry is disabled on this server")
+                )
+            return wire.encode_frame(wire.OP_RESULT, self.telemetry(), 0.0)
+        raise ProtocolError(
+            f"unexpected opcode 0x{opcode:02x} "
+            f"({wire.OPCODE_NAMES.get(opcode, '?')})"
+        )
+
+    def _begin(self, conn, body):
+        if len(body) != 2:
+            raise ProtocolError("BEGIN needs (name, isolation)")
+        name, isolation = str(body[0]), body[1]
+        if self.admission is not None and not conn.in_restart:
+            waits = 0
+            while True:
+                decision = self.admission.admit(waits)
+                if decision is ADMIT:
+                    break
+                if decision is QUEUE:
+                    waits += 1
+                    yield Pause(self.admission.policy.queue_backoff_ms)
+                    continue
+                self.sheds += 1  # SHED
+                return wire.encode_error(AdmissionRejected(
+                    f"admission control shed {name!r} "
+                    f"(pressure {self.admission.pressure})"
+                ))
+        try:
+            txn = self.database.begin(
+                name, None if isolation is None else str(isolation)
+            )
+        except ReproError as exc:
+            return wire.encode_error(exc)
+        conn.txns[txn.txn_id] = (txn, name, self.clock())
+        return wire.encode_frame(wire.OP_BEGUN, txn.txn_id)
+
+    def _conn_txn(self, conn, txn_id) -> Tuple[Transaction, str, float]:
+        entry = conn.txns.get(txn_id)
+        if entry is None:
+            raise ProtocolError(
+                f"transaction {txn_id} is not open on this connection"
+            )
+        return entry
+
+    def _commit(self, conn, body) -> bytes:
+        if len(body) != 1:
+            raise ProtocolError("COMMIT needs (txn_id,)")
+        txn, name, started = self._conn_txn(conn, body[0])
+        try:
+            self.database.commit(txn)
+        except ReproError as exc:
+            return wire.encode_error(exc)
+        del conn.txns[txn.txn_id]
+        self.slo.record_commit(name, self.clock() - started)
+        if conn.in_restart and self.admission is not None:
+            self.admission.leave_restart()
+            conn.in_restart = False
+        return wire.encode_frame(wire.OP_DONE, self.clock() - started)
+
+    def _abort(self, conn, body) -> bytes:
+        if len(body) != 2:
+            raise ProtocolError("ABORT needs (txn_id, reason)")
+        txn, _name, started = self._conn_txn(conn, body[0])
+        reason = str(body[1]) or "rollback"
+        try:
+            self.database.abort(txn, reason=reason)
+        except ReproError as exc:
+            return wire.encode_error(exc)
+        del conn.txns[txn.txn_id]
+        self.slo.record_abort(reason)
+        return wire.encode_frame(wire.OP_DONE, self.clock() - started)
+
+    def _work(self, conn, opcode: int, body):
+        trace: Optional[str] = None
+        if opcode == wire.OP_CALL:
+            if len(body) not in (3, 4):
+                raise ProtocolError("CALL needs (txn_id, op, args[, trace])")
+            txn_id, name, args = body[0], body[1], body[2]
+            if not isinstance(args, tuple):
+                raise ProtocolError("CALL args must be a tuple")
+            if len(body) == 4:
+                trace = body[3]
+        else:
+            if len(body) not in (2, 3):
+                raise ProtocolError("QUERY needs (txn_id, path[, trace])")
+            txn_id, name, args = body[0], "query", (str(body[1]),)
+            if len(body) == 3:
+                trace = body[2]
+        if trace is not None and not isinstance(trace, str):
+            raise ProtocolError("trace context must be a string or None")
+        txn, txn_name, _started = self._conn_txn(conn, txn_id)
+        if opcode == wire.OP_CALL:
+            generator = dispatch_call(self.nodes, txn, str(name), args)
+        else:
+            generator = self.query.evaluate(txn, args[0])
+        tracer = self.database.tracer
+        traced = tracer.enabled
+        if traced:
+            extra = {"trace": trace} if trace is not None else {}
+            tracer.emit(
+                SPAN_BEGIN, txn=txn_label(txn), cat="rpc", name=name, **extra
+            )
+        plane = self._plane
+        if plane is not None:
+            conn.lock_wait_ms = conn.sim_cost_ms = 0.0
+        request_t0 = self.clock()
+        failure: Optional[Exception] = None
+        try:
+            value = yield from generator
+        except (ReproError, ValueError, TypeError, AttributeError) as exc:
+            # Non-Repro failures are bad arguments reaching the kernel
+            # (a string where a Splid belongs, ...): the server must
+            # report them typed and keep serving, not drop the link.
+            failure = exc
+        cost_ms = self.clock() - request_t0
+        error = None if failure is None else type(failure).__name__
+        if traced:
+            outcome = {"service_ms": cost_ms} if error is None \
+                else {"error": error}
+            tracer.emit(
+                SPAN_END, txn=txn_label(txn), cat="rpc", name=name,
+                **outcome, **extra,
+            )
+        if plane is not None:
+            plane.note_request(
+                str(name), cost_ms,
+                lock_wait_ms=conn.lock_wait_ms,
+                sim_cost_ms=conn.sim_cost_ms,
+                txn=txn_label(txn), trace=trace, error=error,
+            )
+        if failure is not None:
+            return self._work_failed(conn, txn, txn_name, failure)
+        return wire.encode_frame(wire.OP_RESULT, value, cost_ms)
+
+    def _work_failed(self, conn, txn, txn_name, exc: Exception) -> bytes:
+        """Roll back a failed operation's transaction and report typed.
+
+        Transient failures (deadlock victim, lock timeout) additionally
+        raise the admission controller's restart pressure until this
+        connection commits again -- the coordinator-side bookkeeping of
+        PR 5, moved server-side.
+        """
+        reason = str(getattr(exc, "reason", "") or "")
+        if not reason:
+            reason = "storage" if isinstance(exc, ReproError) else "error"
+        if txn.state is TxnState.ACTIVE:
+            try:
+                self.database.abort(txn, reason=reason)
+            except ReproError:
+                # The original failure is the interesting one.  A failed
+                # rollback leaves the transaction ACTIVE with its locks
+                # held, so it stays on the connection: the client's
+                # ABORT (or abandon() on disconnect) can still end it.
+                pass
+        if txn.state is not TxnState.ACTIVE:
+            conn.txns.pop(txn.txn_id, None)
+            self.slo.record_abort(reason)
+        if is_transient(exc) and self.admission is not None \
+                and not conn.in_restart:
+            self.admission.enter_restart()
+            conn.in_restart = True
+        return wire.encode_error(exc)
+
+
+class LockServer(RequestHandler):
+    """The asyncio shell: sockets, handshake, streaming, effect driving."""
+
+    def __init__(
+        self,
+        database: Database,
+        *,
+        config: Optional[ServerConfig] = None,
+        info: Optional[BibInfo] = None,
+    ):
+        t0 = time.monotonic()
+        super().__init__(
+            database, config=config, info=info,
+            clock=lambda: (time.monotonic() - t0) * 1000.0,
+        )
+        self._server: Optional[asyncio.base_events.Server] = None
+        # The handler (telemetry plane included) is built synchronously,
+        # so from_config works off-loop; the sampler task starts with
+        # the server.
         self._sampler_task: Optional[asyncio.Task] = None
 
     @classmethod
@@ -440,9 +743,6 @@ class LockServer:
         return cls(database, config=config, info=info)
 
     # -- lifecycle -----------------------------------------------------------
-
-    def _now_ms(self) -> float:
-        return (time.monotonic() - self._t0) * 1000.0
 
     async def start(self) -> Tuple[str, int]:
         """Bind and start accepting; returns the bound (host, port)."""
@@ -500,66 +800,10 @@ class LockServer:
             raise ReproError("server is not started")
         return self._server.sockets[0].getsockname()[1]
 
-    # -- stats ---------------------------------------------------------------
-
-    def server_info(self) -> Dict[str, Any]:
-        """The WELCOME/INFO payload: identity plus workload handles."""
-        document = self.database.document
-        payload: Dict[str, Any] = {
-            "protocol": self.database.protocol.name,
-            "lock_depth": self.database.lock_depth,
-            "isolation": self.database.default_isolation.value,
-            "root": document.name_of(document.root),
-            "nodes": int(document.statistics()["nodes"]),
-        }
-        if self.info is not None:
-            payload["book_ids"] = list(self.info.book_ids)
-            payload["topic_ids"] = list(self.info.topic_ids)
-            payload["person_ids"] = list(self.info.person_ids)
-        return payload
-
-    def stats(self) -> Dict[str, Any]:
-        """The STATS payload: SLO percentiles and overload counters."""
-        return {
-            "slo": self.slo.slo(),
-            "committed": self.slo.committed,
-            "aborted": self.slo.aborted,
-            "aborted_by_reason": dict(sorted(
-                self.slo.aborted_by_reason.items()
-            )),
-            "sheds": self.sheds,
-            "protocol_errors": self.protocol_errors,
-            "requests": self.requests,
-            "requests_by_opcode": dict(sorted(
-                self.requests_by_opcode.items()
-            )),
-            "connections": self.connections,
-            "active_txns": self.database.transactions.active_count,
-            "uptime_ms": round(self._now_ms(), 3),
-        }
-
-    def telemetry(self) -> Dict[str, Any]:
-        """The TELEMETRY payload: windowed series + live snapshot.
-
-        The series' own ``snapshot`` field is the image at the last
-        sampler tick (deterministic under a simulated clock); the
-        payload overrides it with a fresh merged snapshot so a one-shot
-        scrape sees the current totals, and adds the slow-request log.
-        """
-        plane = self._plane
-        if plane is None:
-            raise ReproError("telemetry is disabled on this server")
-        payload = plane.series.to_dict()
-        payload["snapshot"] = plane.snapshot()
-        payload["uptime_ms"] = round(self._now_ms(), 3)
-        payload["slow_requests"] = plane.slow.as_list()
-        return payload
-
     # -- connection handling -------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
-        self.connections += 1
-        conn = _Connection()
+        conn = self.connect()
         try:
             await self._serve_connection(conn, reader, writer)
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -568,22 +812,12 @@ class LockServer:
             self.protocol_errors += 1
             await self._try_send(writer, wire.encode_error(exc))
         finally:
-            self._abandon(conn)
+            self.abandon(conn)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-
-    def _abandon(self, conn: _Connection) -> None:
-        """Roll back whatever a vanished connection left active."""
-        for txn, _name, _started in conn.txns.values():
-            if txn.state is TxnState.ACTIVE:
-                self.database.abort(txn, reason="rollback")
-        conn.txns.clear()
-        if conn.in_restart and self.admission is not None:
-            self.admission.leave_restart()
-            conn.in_restart = False
 
     async def _read_frame(self, reader) -> Tuple[int, Tuple[Any, ...]]:
         header = await reader.readexactly(4)
@@ -623,19 +857,15 @@ class LockServer:
                 opcode, body = await self._read_frame(reader)
             except asyncio.IncompleteReadError:
                 return  # clean EOF between frames
-            self.requests += 1
-            name = wire.OPCODE_NAMES.get(opcode, f"0x{opcode:02x}")
-            self.requests_by_opcode[name] = (
-                self.requests_by_opcode.get(name, 0) + 1
-            )
             if opcode == wire.OP_SUBSCRIBE:
                 # The one request answered by a frame *stream*, so it
-                # cannot go through the one-reply _handle_frame path.
+                # cannot go through the one-reply dispatch path.
+                self.count(opcode)
                 await self._handle_subscribe(writer, body)
                 continue
-            reply = await self._handle_frame(conn, opcode, body)
-            if reply is None:
-                return
+            reply = self.dispatch(conn, opcode, body)
+            if not isinstance(reply, bytes):
+                reply = await self._drive(reply, conn)
             writer.write(reply)
             await writer.drain()
 
@@ -662,7 +892,7 @@ class LockServer:
             return
         subscriber = _Subscriber(asyncio.Queue(maxsize=32))
         plane.subscribers.append(subscriber)
-        t0 = self._now_ms()
+        t0 = self.clock()
         try:
             for _ in range(count):
                 window_dict = await subscriber.queue.get()
@@ -674,216 +904,24 @@ class LockServer:
         # a full queue, so consumers can tell a complete picture from a
         # sampled one.
         writer.write(wire.encode_frame(
-            wire.OP_DONE, self._now_ms() - t0, subscriber.dropped
+            wire.OP_DONE, self.clock() - t0, subscriber.dropped
         ))
         await writer.drain()
 
-    async def _handle_frame(self, conn, opcode: int, body) -> Optional[bytes]:
-        """One request frame -> one reply frame (None closes the link)."""
-        if opcode == wire.OP_PING:
-            return wire.encode_frame(wire.OP_PONG)
-        if opcode == wire.OP_INFO:
-            return wire.encode_frame(
-                wire.OP_RESULT, self.server_info(), 0.0
-            )
-        if opcode == wire.OP_STATS:
-            return wire.encode_frame(wire.OP_RESULT, self.stats(), 0.0)
-        if opcode == wire.OP_TELEMETRY:
-            if self._plane is None:
-                return wire.encode_error(
-                    ReproError("telemetry is disabled on this server")
-                )
-            return wire.encode_frame(wire.OP_RESULT, self.telemetry(), 0.0)
-        if opcode == wire.OP_BEGIN:
-            return await self._handle_begin(conn, body)
-        if opcode == wire.OP_COMMIT:
-            return self._handle_commit(conn, body)
-        if opcode == wire.OP_ABORT:
-            return self._handle_abort(conn, body)
-        if opcode in (wire.OP_CALL, wire.OP_QUERY):
-            return await self._handle_work(conn, opcode, body)
-        raise ProtocolError(
-            f"unexpected opcode 0x{opcode:02x} "
-            f"({wire.OPCODE_NAMES.get(opcode, '?')})"
-        )
-
-    async def _handle_begin(self, conn, body) -> bytes:
-        if len(body) != 2:
-            raise ProtocolError("BEGIN needs (name, isolation)")
-        name, isolation = str(body[0]), body[1]
-        if self.admission is not None and not conn.in_restart:
-            waits = 0
-            while True:
-                decision = self.admission.admit(waits)
-                if decision is ADMIT:
-                    break
-                if decision is QUEUE:
-                    waits += 1
-                    await asyncio.sleep(
-                        self.admission.policy.queue_backoff_ms / 1000.0
-                    )
-                    continue
-                self.sheds += 1  # SHED
-                return wire.encode_error(AdmissionRejected(
-                    f"admission control shed {name!r} "
-                    f"(pressure {self.admission.pressure})"
-                ))
-        try:
-            txn = self.database.begin(
-                name, None if isolation is None else str(isolation)
-            )
-        except ReproError as exc:
-            return wire.encode_error(exc)
-        conn.txns[txn.txn_id] = (txn, name, self._now_ms())
-        return wire.encode_frame(wire.OP_BEGUN, txn.txn_id)
-
-    def _conn_txn(self, conn, txn_id) -> Tuple[Transaction, str, float]:
-        entry = conn.txns.get(txn_id)
-        if entry is None:
-            raise ProtocolError(
-                f"transaction {txn_id} is not open on this connection"
-            )
-        return entry
-
-    def _handle_commit(self, conn, body) -> bytes:
-        if len(body) != 1:
-            raise ProtocolError("COMMIT needs (txn_id,)")
-        txn, name, started = self._conn_txn(conn, body[0])
-        try:
-            self.database.commit(txn)
-        except ReproError as exc:
-            return wire.encode_error(exc)
-        del conn.txns[txn.txn_id]
-        self.slo.record_commit(name, self._now_ms() - started)
-        if conn.in_restart and self.admission is not None:
-            self.admission.leave_restart()
-            conn.in_restart = False
-        return wire.encode_frame(wire.OP_DONE, self._now_ms() - started)
-
-    def _handle_abort(self, conn, body) -> bytes:
-        if len(body) != 2:
-            raise ProtocolError("ABORT needs (txn_id, reason)")
-        txn, _name, started = self._conn_txn(conn, body[0])
-        reason = str(body[1]) or "rollback"
-        try:
-            self.database.abort(txn, reason=reason)
-        except ReproError as exc:
-            return wire.encode_error(exc)
-        del conn.txns[txn.txn_id]
-        self.slo.record_abort(reason)
-        return wire.encode_frame(wire.OP_DONE, self._now_ms() - started)
-
-    async def _handle_work(self, conn, opcode: int, body) -> bytes:
-        trace: Optional[str] = None
-        if opcode == wire.OP_CALL:
-            if len(body) not in (3, 4):
-                raise ProtocolError("CALL needs (txn_id, op, args[, trace])")
-            txn_id, name, args = body[0], body[1], body[2]
-            if not isinstance(args, tuple):
-                raise ProtocolError("CALL args must be a tuple")
-            if len(body) == 4:
-                trace = body[3]
-        else:
-            if len(body) not in (2, 3):
-                raise ProtocolError("QUERY needs (txn_id, path[, trace])")
-            txn_id, name, args = body[0], "query", (str(body[1]),)
-            if len(body) == 3:
-                trace = body[2]
-        if trace is not None and not isinstance(trace, str):
-            raise ProtocolError("trace context must be a string or None")
-        txn, txn_name, _started = self._conn_txn(conn, txn_id)
-        if opcode == wire.OP_CALL:
-            generator = dispatch_call(self.nodes, txn, str(name), args)
-        else:
-            generator = self.query.evaluate(txn, args[0])
-        tracer = self.database.tracer
-        traced = tracer.enabled
-        if traced:
-            begin_extra = {"trace": trace} if trace is not None else {}
-            tracer.emit(
-                SPAN_BEGIN, txn=txn_label(txn), cat="rpc", name=name,
-                **begin_extra,
-            )
-        plane = self._plane
-        stats = _DriveStats() if plane is not None else None
-        request_t0 = self._now_ms()
-        try:
-            value = await self._drive(generator, stats)
-        except (ReproError, ValueError, TypeError, AttributeError) as exc:
-            # Non-Repro failures are bad arguments reaching the kernel
-            # (a string where a Splid belongs, ...): the server must
-            # report them typed and keep serving, not drop the link.
-            cost_ms = self._now_ms() - request_t0
-            if traced:
-                extra = {"trace": trace} if trace is not None else {}
-                tracer.emit(
-                    SPAN_END, txn=txn_label(txn), cat="rpc", name=name,
-                    error=type(exc).__name__, **extra,
-                )
-            if plane is not None:
-                plane.note_request(
-                    str(name), cost_ms,
-                    lock_wait_ms=stats.lock_wait_ms,
-                    sim_cost_ms=stats.sim_cost_ms,
-                    txn=txn_label(txn), trace=trace,
-                    error=type(exc).__name__,
-                )
-            return self._work_failed(conn, txn, txn_name, exc)
-        cost_ms = self._now_ms() - request_t0
-        if traced:
-            extra = {"trace": trace} if trace is not None else {}
-            tracer.emit(
-                SPAN_END, txn=txn_label(txn), cat="rpc", name=name,
-                service_ms=cost_ms, **extra,
-            )
-        if plane is not None:
-            plane.note_request(
-                str(name), cost_ms,
-                lock_wait_ms=stats.lock_wait_ms,
-                sim_cost_ms=stats.sim_cost_ms,
-                txn=txn_label(txn), trace=trace,
-            )
-        return wire.encode_frame(wire.OP_RESULT, value, cost_ms)
-
-    def _work_failed(self, conn, txn, txn_name, exc: Exception) -> bytes:
-        """Roll back a failed operation's transaction and report typed.
-
-        Transient failures (deadlock victim, lock timeout) additionally
-        raise the admission controller's restart pressure until this
-        connection commits again -- the coordinator-side bookkeeping of
-        PR 5, moved server-side.
-        """
-        reason = str(getattr(exc, "reason", "") or "")
-        if not reason:
-            reason = "storage" if isinstance(exc, ReproError) else "error"
-        if txn.state is TxnState.ACTIVE:
-            try:
-                self.database.abort(txn, reason=reason)
-            except ReproError:
-                pass  # the original failure is the interesting one
-        conn.txns.pop(txn.txn_id, None)
-        self.slo.record_abort(reason)
-        if is_transient(exc) and self.admission is not None \
-                and not conn.in_restart:
-            self.admission.enter_restart()
-            conn.in_restart = True
-        return wire.encode_error(exc)
-
     # -- effect driving ------------------------------------------------------
 
-    async def _drive(self, generator,
-                     stats: Optional[_DriveStats] = None) -> Any:
-        """Drive one operation generator on the event loop.
+    async def _drive(self, generator, conn: _Connection) -> bytes:
+        """Drive one request generator to its reply on the event loop.
 
-        Mirrors :class:`~repro.sched.threaded.ThreadedRuntime._loop`:
-        ``Delay`` sleeps scaled wall time (or just yields the loop),
-        ``WaitTicket`` parks on an :class:`asyncio.Event` that the lock
-        table's grant callback sets, honouring the wait timeout.
+        Mirrors :class:`~repro.sched.threaded.ThreadedRuntime._loop`,
+        except that cost-model ``Delay``s never sleep (they are
+        simulation artifacts; the hardware sets the pace): a ``Pause``
+        sleeps its wall milliseconds, and a ``WaitTicket`` parks on an
+        :class:`asyncio.Event` that the lock table's grant callback
+        sets, honouring the wait timeout.
 
-        ``stats`` (telemetry only) attributes the request's time: cost-
-        model ``Delay`` milliseconds vs. wall time parked on lock waits.
+        ``conn`` collects the request's time attribution for telemetry.
         """
-        time_scale = self.config.time_scale
         send_value: Any = None
         throw_value: Optional[BaseException] = None
         while True:
@@ -896,18 +934,14 @@ class LockServer:
             except StopIteration as stop:
                 return stop.value
             send_value = None
-            if isinstance(effect, Delay):
-                if stats is not None:
-                    stats.sim_cost_ms += effect.ms
-                if time_scale > 0.0 and effect.ms > 0.0:
-                    await asyncio.sleep(effect.ms * time_scale)
+            if isinstance(effect, Pause):
+                await asyncio.sleep(effect.ms / 1000.0)
+            elif isinstance(effect, Delay):
+                conn.sim_cost_ms += effect.ms
             elif isinstance(effect, WaitTicket):
-                if stats is None:
-                    throw_value = await self._await_ticket(effect)
-                else:
-                    wait_t0 = self._now_ms()
-                    throw_value = await self._await_ticket(effect)
-                    stats.lock_wait_ms += self._now_ms() - wait_t0
+                wait_t0 = self.clock()
+                throw_value = await self._await_ticket(effect)
+                conn.lock_wait_ms += self.clock() - wait_t0
             else:
                 raise SimulationError(f"unexpected effect {effect!r}")
 
@@ -920,7 +954,7 @@ class LockServer:
         timeout_s = None
         if ticket.timeout_ms is not None:
             # The database clock is wall milliseconds, so the ticket's
-            # timeout is too (no time_scale here).
+            # timeout is too.
             timeout_s = max(ticket.timeout_ms / 1000.0, 0.001)
         try:
             await asyncio.wait_for(event.wait(), timeout_s)

@@ -7,8 +7,9 @@ Zero-cost-when-disabled contract: every instrumentation site guards its
         tracer.emit(LOCK_GRANT, txn=..., node=..., mode=...)
 
 so a disabled system pays exactly one ``bool`` load per site and never
-builds the event payload.  The perf harness (``benchmarks/perf``) holds
-this to account.
+builds the event payload.  The hot paths (buffer ``fix``, node-manager
+operations) go further and pick their plain or instrumented
+implementation once, when the tracer is bound.
 
 The :class:`RingTracer` keeps the last ``capacity`` events in memory
 (``capacity=None`` keeps everything) and can mirror every event into a
@@ -65,8 +66,7 @@ class RingTracer:
             raise ValueError(f"tracer capacity must be >= 1, got {capacity}")
         # Instance attribute shadows the class default, so a ring tracer
         # can be constructed dormant (``enabled=False``): sites see the
-        # same False their guard would see from the null tracer, and the
-        # perf harness uses this to price the guard itself.
+        # same False their guard would see from the null tracer.
         self.enabled = enabled
         self.capacity = capacity
         self.clock: Callable[[], float] = clock or (lambda: 0.0)

@@ -12,7 +12,6 @@ from repro.shard.chaos import ChaosTransport
 from repro.shard.chaosrun import ShardChaosReport, run_shard_chaos
 from repro.shard.partition import PARTITION_LEVEL, PartitionPlan, plan_partitions
 from repro.shard.router import (
-    AdaptiveRetryPolicy,
     CrossShardDetector,
     LogicalTxn,
     ShardedDatabase,
@@ -35,7 +34,6 @@ __all__ = [
     "PARTITION_LEVEL",
     "PartitionPlan",
     "plan_partitions",
-    "AdaptiveRetryPolicy",
     "ChaosTransport",
     "CrossShardDetector",
     "LogicalTxn",

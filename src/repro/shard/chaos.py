@@ -28,7 +28,7 @@ fault sequences; all accumulated latency is charged into the reply's
 cost field (:func:`repro.shard.messages.add_cost`) and therefore onto
 the simulated clock, never the wall clock.  When the schedule has no
 network or crash rules the decorator is a single attribute check per
-request (the zero-cost-when-disabled contract, gated in CI).
+request (the zero-cost-when-disabled contract).
 """
 
 from __future__ import annotations

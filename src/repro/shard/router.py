@@ -18,18 +18,6 @@ sorted label order, and declares the *initiating* transaction the
 victim when a chase returns to it -- the same deterministic
 requester-is-victim rule as the local detector, so seeded runs pick
 identical victims on every repeat.
-
-Two router-side options reproduce the lock-service optimizations of
-arXiv 2504.03073:
-
-* **local grant caching** (``grant_cache=True``) -- under the strict
-  isolation levels a granted ``get_element_by_id`` stays protected
-  until commit, so its result is served from a per-transaction cache
-  instead of re-shipping the lookup;
-* **contention-adaptive backoff** (:class:`AdaptiveRetryPolicy`) --
-  restart backoff is scaled by an exponentially-weighted block-rate
-  signal fed by the router, backing off harder while the contest is
-  hot and relaxing when grants come back instantly.
 """
 
 from __future__ import annotations
@@ -57,16 +45,13 @@ from repro.sched.simulator import Delay
 from repro.shard import messages
 from repro.shard.partition import PartitionPlan
 
-#: Isolation levels whose locks live until commit (grant-cache safe).
-_STRICT = (IsolationLevel.REPEATABLE, IsolationLevel.SERIALIZABLE)
-
 
 class LogicalTxn:
     """Coordinator-side image of one distributed transaction."""
 
     __slots__ = (
         "label", "name", "isolation", "started", "participants",
-        "grant_cache", "epochs",
+        "epochs",
     )
 
     def __init__(self, label: str, name: str, isolation: IsolationLevel,
@@ -76,7 +61,6 @@ class LogicalTxn:
         self.isolation = isolation
         self.started = started
         self.participants: Set[int] = set()
-        self.grant_cache: Dict[str, object] = {}
         #: Shard incarnation at enlist time; a participant whose shard
         #: has since restarted holds none of this txn's state any more.
         self.epochs: Dict[int, int] = {}
@@ -152,40 +136,6 @@ class CrossShardDetector:
         return merged
 
 
-class AdaptiveRetryPolicy:
-    """Contention-adaptive restart backoff (arXiv 2504.03073, Section 4).
-
-    Wraps a base :class:`~repro.chaos.retry.RetryPolicy`; the budget is
-    the base's, the backoff is the base's scaled by ``1 + (scale_max -
-    1) * contention`` where ``contention`` is the router's EWMA
-    block-rate in ``[0, 1]``.  Uncontended runs keep the base backoff;
-    a fully contended contest backs off ``scale_max`` times harder.
-    """
-
-    def __init__(
-        self,
-        base: Optional[RetryPolicy] = None,
-        *,
-        contention: Optional[Callable[[], float]] = None,
-        scale_max: float = 4.0,
-    ):
-        self.base = base if base is not None else RetryPolicy()
-        self._contention = contention if contention is not None else lambda: 0.0
-        self.scale_max = float(scale_max)
-
-    def bind(self, contention: Callable[[], float]) -> "AdaptiveRetryPolicy":
-        self._contention = contention
-        return self
-
-    def allows_restart(self, restarts_done: int) -> bool:
-        return self.base.allows_restart(restarts_done)
-
-    def backoff_ms(self, attempt: int, rng: random.Random) -> float:
-        raw = self.base.backoff_ms(attempt, rng)
-        level = min(1.0, max(0.0, self._contention()))
-        return raw * (1.0 + (self.scale_max - 1.0) * level)
-
-
 class ShardRouter:
     """Routes operations, mirrors waits, and chases deadlock probes."""
 
@@ -198,7 +148,6 @@ class ShardRouter:
         *,
         rtt_ms: float = 0.1,
         wait_timeout_ms: Optional[float] = 10_000.0,
-        grant_cache: bool = False,
         failure_threshold: int = 3,
         probe_retry: Optional[RetryPolicy] = None,
     ):
@@ -208,8 +157,6 @@ class ShardRouter:
         self.tracer = tracer
         self.rtt_ms = float(rtt_ms)
         self.wait_timeout_ms = wait_timeout_ms
-        self.grant_cache_enabled = bool(grant_cache)
-        self.grant_cache_hits = 0
         self.clock: Callable[[], float] = lambda: 0.0
         self.detector = CrossShardDetector(self)
         self.messages_sent = 0
@@ -225,9 +172,6 @@ class ShardRouter:
         self.partial_commits = 0
         #: Shard legs committed by failed (partially committed) txns.
         self.partial_commit_legs = 0
-        #: EWMA block-rate over recent operations (adaptive backoff input).
-        self.contention = 0.0
-        self.contention_alpha = 0.1
         self._waiting: Dict[str, _WaitEntry] = {}
         self._active: Dict[str, LogicalTxn] = {}
         #: Element id -> owning shard, from the coordinator replica's id
@@ -265,14 +209,6 @@ class ShardRouter:
         local node-manager operation, so TaMix programs are oblivious to
         the shard boundary.
         """
-        cacheable = (
-            op == "get_element_by_id"
-            and self.grant_cache_enabled
-            and txn.isolation in _STRICT
-        )
-        if cacheable and args[0] in txn.grant_cache:
-            self.grant_cache_hits += 1
-            return txn.grant_cache[args[0]]
         shard_id = self.route(op, args)
         self._check_available(shard_id)
         epoch = self._epoch_of(shard_id)
@@ -298,15 +234,11 @@ class ShardRouter:
             if opcode == messages.OP_SHARD_DONE:
                 value, cost, woken, events = fields
                 self._absorb(shard_id, woken, events)
-                self._note_contention(blocked=False)
                 yield Delay(float(cost) + self.rtt_ms)
-                if cacheable:
-                    txn.grant_cache[args[0]] = value
                 return value
             if opcode == messages.OP_SHARD_EXC:
                 code, message, cycle, cost, woken, events = fields
                 self._absorb(shard_id, woken, events)
-                self._note_contention(blocked=code == "DeadlockAbort")
                 yield Delay(float(cost) + self.rtt_ms)
                 raise messages.rebuild_exception(code, message, cycle)
             if opcode != messages.OP_SHARD_BLOCKED:
@@ -315,7 +247,6 @@ class ShardRouter:
                 )
             blockers, is_conv, space, key, mode, cost, woken, events = fields
             self._absorb(shard_id, woken, events)
-            self._note_contention(blocked=True)
             ticket = WaitTicket(
                 txn=txn, resource=(str(space), str(key)), mode=str(mode),
                 is_conversion=bool(is_conv),
@@ -662,10 +593,6 @@ class ShardRouter:
             ):
                 entry.ticket._fire()
 
-    def _note_contention(self, *, blocked: bool) -> None:
-        alpha = self.contention_alpha
-        self.contention += alpha * ((1.0 if blocked else 0.0) - self.contention)
-
 
 class ShardedNodeManager:
     """Node-manager facade whose operations run on their owning shard."""
@@ -771,7 +698,6 @@ class ShardedDatabase:
         observability=None,
         rtt_ms: float = 0.1,
         wait_timeout_ms: Optional[float] = 10_000.0,
-        grant_cache: bool = False,
     ):
         self.plan = plan
         self.protocol = get_protocol(protocol)
@@ -786,7 +712,6 @@ class ShardedDatabase:
         self.router = ShardRouter(
             plan, transport, info.document, self.obs.tracer,
             rtt_ms=rtt_ms, wait_timeout_ms=wait_timeout_ms,
-            grant_cache=grant_cache,
         )
         self.nodes = ShardedNodeManager(self.router, info.document)
         self.locks = _ShardedLockFacade(self.router)

@@ -27,7 +27,7 @@ from repro.chaos.retry import RetryPolicy
 from repro.core.registry import get_protocol
 from repro.errors import BenchmarkError, ChaosError
 from repro.shard.partition import PARTITION_LEVEL, plan_partitions
-from repro.shard.router import AdaptiveRetryPolicy, ShardedDatabase
+from repro.shard.router import ShardedDatabase
 from repro.shard.transport import ProcessTransport, SimTransport
 from repro.tamix.bibgen import load_bib
 from repro.tamix.cluster import CLUSTER1_MIX, run_cluster1
@@ -140,7 +140,6 @@ def build_sharded_cluster(
     observability=None,
     transport: str = "sim",
     rtt_ms: float = 0.1,
-    grant_cache: bool = False,
     wait_timeout_ms: Optional[float] = 10_000.0,
     escalation_threshold: Optional[int] = None,
     fault_schedule=None,
@@ -224,7 +223,6 @@ def build_sharded_cluster(
         plan, transport_obj, info,
         protocol=protocol, isolation=isolation, observability=obs,
         rtt_ms=rtt_ms, wait_timeout_ms=wait_timeout_ms,
-        grant_cache=grant_cache,
     )
     return ShardedCluster(database, transport_obj, info, plan, engine, tmp)
 
@@ -241,8 +239,6 @@ def run_sharded_cluster1(
     observability=None,
     transport: str = "sim",
     rtt_ms: float = 0.1,
-    grant_cache: bool = False,
-    adaptive_backoff: bool = False,
     retry: Optional[RetryPolicy] = None,
     wait_timeout_ms: Optional[float] = 10_000.0,
     escalation_threshold: Optional[int] = None,
@@ -259,11 +255,8 @@ def run_sharded_cluster1(
     shards take all timing from message-carried clocks, both produce
     the same results for the same seed.
 
-    ``grant_cache`` and ``adaptive_backoff`` enable the router-side
-    optimizations of arXiv 2504.03073 (off by default so the baseline
-    stays byte-identical).  ``fault_schedule``/``chaos_seed`` put the
-    shard transport under seeded network/crash chaos (see
-    :func:`build_sharded_cluster`).
+    ``fault_schedule``/``chaos_seed`` put the shard transport under
+    seeded network/crash chaos (see :func:`build_sharded_cluster`).
     """
     validate_sharding(protocol, lock_depth, shards)
     if shards == 1:
@@ -276,20 +269,13 @@ def run_sharded_cluster1(
     cluster = build_sharded_cluster(
         protocol, shards=shards, lock_depth=lock_depth,
         isolation=isolation, scale=scale, observability=observability,
-        transport=transport, rtt_ms=rtt_ms, grant_cache=grant_cache,
+        transport=transport, rtt_ms=rtt_ms,
         wait_timeout_ms=wait_timeout_ms,
         escalation_threshold=escalation_threshold,
         fault_schedule=fault_schedule, chaos_seed=chaos_seed,
         request_timeout_s=request_timeout_s,
     )
     try:
-        database = cluster.database
-        retry_policy = retry
-        if adaptive_backoff:
-            base = retry if retry is not None else RetryPolicy()
-            retry_policy = AdaptiveRetryPolicy(base).bind(
-                lambda: database.router.contention
-            )
         tamix = TaMixConfig(
             protocol=protocol,
             lock_depth=lock_depth,
@@ -297,8 +283,8 @@ def run_sharded_cluster1(
             run_duration_ms=run_duration_ms,
             mix=dict(CLUSTER1_MIX),
             seed=seed,
-            retry=retry_policy,
+            retry=retry,
         )
-        return TaMixCoordinator(database, cluster.info, tamix).run()
+        return TaMixCoordinator(cluster.database, cluster.info, tamix).run()
     finally:
         cluster.close()

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import Database
 from repro.chaos import ChaosEngine, FaultRule, FaultSchedule, RetryPolicy
 from repro.errors import (
     DeadlockAbort,
@@ -145,6 +146,23 @@ class TestWiring:
         engine.uninstall()
         assert db.document.buffer.chaos is None
         assert db.locks.chaos is None
+
+    def test_unwanted_sites_keep_their_plain_paths(self):
+        """An installed engine binds a hook only at the sites its
+        schedule targets; everywhere else the fast path stays as it is
+        without an engine."""
+        db = Database(root_element="bib")
+        buffer = db.document.buffer
+        ChaosEngine(FaultSchedule(), seed=1).install(db)
+        assert buffer.fix == buffer._fix_plain
+        assert db.locks._chaos_lock is None
+        engine_for(FaultRule("lock.acquire", "timeout", at_ops=(1,))).install(db)
+        assert buffer.fix == buffer._fix_plain
+        assert db.locks._chaos_lock is not None
+        engine_for(FaultRule("page.read", "latency", at_ops=(1,),
+                             latency_ms=1.0)).install(db)
+        assert buffer.fix == buffer._fix_chaos
+        assert db.locks._chaos_lock is None
 
     def test_injection_rates(self):
         engine = engine_for(FaultRule("page.read", "latency",

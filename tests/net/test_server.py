@@ -11,10 +11,11 @@ from repro.errors import (
     AdmissionRejected,
     LockTimeout,
     RemoteError,
+    RollbackError,
     UnsupportedWireVersion,
 )
 from repro.net import wire
-from repro.net.client import RemoteDatabase, RemoteSession
+from repro.net.client import RemoteDatabase, RemoteSession, WireConnection
 from repro.splid import Splid
 
 from tests.net.conftest import make_server
@@ -138,6 +139,50 @@ class TestSessions:
             assert session.nodes.read_subtree is session.nodes.read_subtree
             assert "read_subtree" in dir(session.nodes)
             session.abort()
+
+
+class TestFailedRollback:
+    def test_txn_whose_rollback_failed_stays_abortable(self):
+        """A failed operation whose server-side rollback raises leaves
+        the transaction ACTIVE with its locks held; the connection must
+        keep it so a later ABORT (or disconnect) can still end it."""
+        handle = make_server()
+        database = handle.server.database
+        real_abort, reasons = database.abort, []
+
+        def abort_failing_once(txn, *, reason="rollback"):
+            reasons.append(reason)
+            if len(reasons) == 1:
+                raise RollbackError("undo entry could not be applied")
+            real_abort(txn, reason=reason)
+
+        database.abort = abort_failing_once
+        try:
+            conn = WireConnection("127.0.0.1", handle.port)
+            try:
+                book_id = conn.server_info["book_ids"][0]
+                _op, (txn_id,) = conn.request(wire.OP_BEGIN, "stuck", None)
+                conn.request(
+                    wire.OP_CALL, txn_id, "get_element_by_id", (book_id,)
+                )
+                assert database.locks.table.lock_count() > 0
+                # the original failure is reported, not the RollbackError
+                with pytest.raises(RemoteError):
+                    conn.request(
+                        wire.OP_CALL, txn_id, "read_subtree", ("9.9.9",)
+                    )
+                assert database.locks.table.lock_count() > 0
+                opcode, _body = conn.request(
+                    wire.OP_ABORT, txn_id, "rollback"
+                )
+                assert opcode == wire.OP_DONE
+            finally:
+                conn.close()
+            assert len(reasons) == 2
+            assert database.locks.table.lock_count() == 0
+            assert handle.server.slo.aborted == 1
+        finally:
+            handle.shutdown()
 
 
 class TestStats:

@@ -12,7 +12,7 @@ import pytest
 from repro.errors import ProtocolError, RemoteError
 from repro.net import wire
 from repro.net.client import RemoteDatabase, WireConnection
-from repro.net.server import SlowRequestLog
+from repro.net.server import SlowRequestLog, TelemetryPlane
 from repro.obs import Observability
 
 from .conftest import make_server
@@ -197,6 +197,25 @@ class TestDisabledTelemetry:
                     db.telemetry()
                 assert db.ping()  # the error did not drop the link
             assert handle.server._plane is None
+        finally:
+            handle.shutdown()
+
+    def test_request_path_never_notes(self, monkeypatch):
+        """Disabled, the request path pays an ``is None`` check and
+        nothing else: CALL and QUERY frames are served without the
+        plane's one per-request hook ever running."""
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("note_request ran with telemetry off")
+
+        monkeypatch.setattr(TelemetryPlane, "note_request", forbidden)
+        handle = make_server(telemetry=False)
+        try:
+            with RemoteDatabase("127.0.0.1", handle.port) as db:
+                do_some_work(db)
+                topic_id = db.info()["topic_ids"][0]
+                with db.session("xpath") as session:
+                    assert session.run(session.query(f"id('{topic_id}')"))
+            assert handle.server.slo.committed == 2
         finally:
             handle.shutdown()
 

@@ -4,11 +4,13 @@ and agree exactly with the metrics of the run that produced them."""
 import pytest
 
 from repro import Database, DeadlockAbort
+from repro.dom.node_manager import _TRACED_OPS
 from repro.obs import (
     DEADLOCK_DETECTED,
     LOCK_BLOCK,
     LOCK_REQUEST,
     Observability,
+    RingTracer,
     TXN_ABORT,
     TXN_BEGIN,
     TXN_COMMIT,
@@ -160,3 +162,28 @@ class TestCellTraceMatchesMetrics:
         histogram = result.wait_histogram
         assert set(histogram) == {"count", "total", "mean", "max", "buckets"}
         assert histogram["count"] >= 0
+
+
+class TestStaticDispatch:
+    """Instrumentation is selected when a tracer is bound, not checked
+    per call: a disabled tracer must leave the uninstrumented
+    implementations in place."""
+
+    @pytest.mark.parametrize("make_obs", [
+        Observability.disabled,
+        lambda: Observability(RingTracer(4096, enabled=False)),
+    ], ids=["no-tracer", "disabled-ring"])
+    def test_disabled_tracer_binds_the_plain_paths(self, make_obs):
+        db = Database(root_element="bib", observability=make_obs())
+        buffer = db.document.buffer
+        assert buffer.fix == buffer._fix_plain
+        assert _TRACED_OPS
+        for name, _wrapper, plain in _TRACED_OPS:
+            assert getattr(db.nodes, name).__func__ is plain, name
+
+    def test_enabled_tracer_binds_the_instrumented_paths(self):
+        db = Database(root_element="bib", observability=True)
+        buffer = db.document.buffer
+        assert buffer.fix == buffer._fix_traced
+        for name, wrapper, _plain in _TRACED_OPS:
+            assert getattr(db.nodes, name).__func__ is wrapper, name

@@ -78,14 +78,16 @@ class TestPassthrough:
         assert spy.frames == [(0, PING)]
 
     def test_disabled_flag_quiesces_active_schedule(self, sim):
-        chaos, spy, _engine = wrap(
+        chaos, spy, engine = wrap(
             sim, FaultRule("net.request", "drop", probability=1.0)
         )
         chaos.enabled = False
         reply = chaos.request(0, PING)
-        opcode, _fields = wire.decode_frame(reply)
-        assert opcode == messages.OP_SHARD_INFO
+        # The inner transport's reply bytes, forwarded as they are, and
+        # not one draw from the engine's fault streams.
+        assert reply == sim.request(0, PING)
         assert spy.frames == [(0, PING)]
+        assert not any(engine.ops.values())
 
 
 class TestNetworkFaults:
