@@ -92,10 +92,21 @@ class Database:
             from repro.txn.wal import WriteAheadLog
 
             self.wal = WriteAheadLog()
-            self.obs.metrics.register_collector(self.wal.collect_metrics)
+            # Late-bound: the gauges must follow :meth:`adopt_wal`.
+            self.obs.metrics.register_collector(
+                lambda registry: self.wal.collect_metrics(registry)
+            )
         self.transactions = TransactionManager(document, self.locks,
                                                wal=self.wal, obs=self.obs)
         self.nodes = NodeManager(document, self.locks, costs, wal=self.wal)
+
+    def adopt_wal(self, log) -> None:
+        """Continue ``log`` in place of the still-empty one built with
+        the database: a durable shard appends to the history its WAL
+        file holds.  Rebinds every component that writes the log."""
+        self.wal = log
+        self.transactions.wal = log
+        self.nodes.wal = log
 
     # -- content loading -------------------------------------------------------
 

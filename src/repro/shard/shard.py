@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.database import Database
@@ -98,8 +97,13 @@ class ShardServer:
 
     ``config`` keys: ``protocol``, ``lock_depth``, ``isolation``,
     ``scale``, ``doc_seed``, ``wait_timeout_ms``, ``escalation_threshold``,
-    ``tracing``, ``access_events``.  The dict is primitive-only so
-    process transports can pickle or wire-ship it.
+    ``tracing``, ``access_events``, ``wal_path``.  The dict is
+    primitive-only so process transports can pickle or wire-ship it.
+
+    With a ``wal_path`` the shard is durable against its own death: it
+    opens that file at start (replaying what a previous incarnation
+    committed), appends each commit's records to it before the commit
+    reply, and closes it on ``SHUTDOWN``.
     """
 
     #: Bound on the idempotent-reply cache (see ``handle``).
@@ -120,13 +124,15 @@ class ShardServer:
         self._doc_seed = int(config.get("doc_seed", 2006))
         info = load_bib(self._scale, seed=self._doc_seed)
         self.info = info
-        self._wal_path = (
-            str(config["wal_path"]) if config.get("wal_path") else None
-        )
+        #: The append-only file behind ``db.wal``; ``None`` for a shard
+        #: without a ``wal_path``, which never touches a file.
+        self._wal_file = None
         self.recovered = False
-        document, adopted_wal = info.document, None
-        if self._wal_path:
-            document, adopted_wal = self._recover_document(info.document)
+        document = info.document
+        if config.get("wal_path"):
+            document = self._recover_document(
+                str(config["wal_path"]), info.document
+            )
         self.db = Database(
             protocol=str(config["protocol"]),
             lock_depth=int(config["lock_depth"]),
@@ -137,13 +143,11 @@ class ShardServer:
             observability=obs,
             escalation_threshold=config.get("escalation_threshold"),
         )
-        if adopted_wal is not None:
-            # The recovered log must keep accumulating so a *second*
-            # crash replays the full committed history; rebind every
-            # reference the database wired to its fresh empty log.
-            self.db.wal = adopted_wal
-            self.db.transactions.wal = adopted_wal
-            self.db.nodes.wal = adopted_wal
+        if self._wal_file is not None:
+            # The file's log (empty on a cold start) must keep
+            # accumulating so a *second* crash replays the full committed
+            # history.
+            self.db.adopt_wal(self._wal_file.log)
         # The coordinator owns the transaction lifecycle events.
         self.db.transactions.tracer = NULL_TRACER
         self.db.set_clock(lambda: self.now)
@@ -151,25 +155,25 @@ class ShardServer:
         self._woken: List[str] = []
         self._replies: "OrderedDict[str, bytes]" = OrderedDict()
 
-    def _recover_document(self, pristine):
-        """Rebuild state from the persisted WAL, if one survived a crash.
+    def _recover_document(self, wal_path: str, pristine):
+        """Open the WAL file and rebuild the state it holds, if any.
 
-        Returns ``(document, wal)``: the redo-recovered document plus the
-        log to adopt, or ``(pristine, None)`` on a cold (first) start.
-        Only committed transactions are replayed -- records past the last
-        commit-time flush are simply absent from the file, which is
-        exactly the crash contract.
+        Returns the redo-recovered document, or ``pristine`` on a cold
+        start (no file yet, or an empty one).  Only committed
+        transactions are replayed: records past the last commit-time
+        flush never reached the file, and a record the kill cut short is
+        truncated away by :meth:`~repro.txn.wal.WalFile.open` -- exactly
+        the crash contract.  A file that exists but cannot be opened
+        raises :class:`~repro.errors.StorageError` and the shard does
+        not start.
         """
         from repro.txn.transaction import Transaction
-        from repro.txn.wal import WriteAheadLog, recover, take_checkpoint
+        from repro.txn.wal import WalFile, recover, take_checkpoint
 
-        try:
-            data = Path(self._wal_path).read_bytes()
-        except OSError:
-            data = b""
-        if not data:
-            return pristine, None
-        log = WriteAheadLog.from_bytes(data)
+        self._wal_file = WalFile.open(wal_path)
+        log = self._wal_file.log
+        if not len(log):
+            return pristine
         base = take_checkpoint(pristine)  # lsn 0: replay from the origin
         document = recover(base, log)
         # The txn-id counter is process-global and resets in a forked
@@ -178,7 +182,7 @@ class ShardServer:
         max_id = max((record.txn_id for record in log.records()), default=0)
         Transaction._counter = max(Transaction._counter, max_id)
         self.recovered = True
-        return document, log
+        return document
 
     # -- message entry point ------------------------------------------------
 
@@ -292,8 +296,12 @@ class ShardServer:
                 ProtocolError(f"{label} cannot commit mid-operation")
             )
         self.db.commit(state.txn)
-        if self._wal_path:
-            self._flush_wal()
+        if self._wal_file is not None:
+            # Commit-time barrier: the reply leaves only after this
+            # transaction's records are in the file.  A crash between
+            # commits loses only records since the last flush -- all of
+            # them belonging to uncommitted transactions.
+            self._wal_file.flush()
         return messages.encode_done(
             None, 0.0, self._drain_woken(), self._drain_events()
         )
@@ -353,10 +361,26 @@ class ShardServer:
             "wait_histogram": locks.wait_histogram.as_dict(),
             "deadlocks_by_kind": locks.detector.counts_by_kind(),
             "lock_count": locks.table.lock_count(),
+            **self._wal_counters(),
         })
+
+    def _wal_counters(self) -> Dict[str, int]:
+        """What this incarnation wrote to its WAL file (zeros without
+        one); equal to the file size when there was no restart."""
+        wal_file = self._wal_file
+        return {
+            "wal_bytes_written": wal_file.bytes_written if wal_file else 0,
+            "wal_writes": wal_file.writes if wal_file else 0,
+        }
+
+    def close(self) -> None:
+        """Release the WAL file handle, as process exit would."""
+        if self._wal_file is not None:
+            self._wal_file.close()
 
     def _handle_shutdown(self, fields) -> bytes:
         self.stopped = True
+        self.close()
         return messages.encode_info({"shard": self.shard_id, "stopped": True})
 
     def _handle_ping(self, fields) -> bytes:
@@ -395,6 +419,7 @@ class ShardServer:
                 canonical_image(replayed)).hexdigest(),
             "commits_in_wal": commits,
             "wal_records": len(self.db.wal),
+            **self._wal_counters(),
             "recovered": self.recovered,
             "open_legs": sorted(self._txns),
         })
@@ -461,24 +486,6 @@ class ShardServer:
             blockers, ticket.is_conversion, str(space), str(key), ticket.mode,
             self._take_cost(state), self._drain_woken(), self._drain_events(),
         )
-
-    # -- durability ---------------------------------------------------------
-
-    def _flush_wal(self) -> None:
-        """Persist the full WAL image atomically (commit-time barrier).
-
-        Rewriting the whole log keeps the on-disk format identical to
-        :meth:`WriteAheadLog.to_bytes`; at contest scales the log is a
-        few kilobytes, and shards without a ``wal_path`` never pay it.
-        A crash between commits loses only records since the last flush
-        -- all of them belonging to uncommitted transactions.
-        """
-        import os
-
-        path = Path(self._wal_path)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_bytes(self.db.wal.to_bytes())
-        os.replace(tmp, path)
 
     # -- reply plumbing -----------------------------------------------------
 

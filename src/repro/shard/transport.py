@@ -67,7 +67,13 @@ class SimTransport:
         return server.handle(bytes(frame))
 
     def kill(self, shard_id: int) -> None:
-        """Crash the shard: discard the instance and all in-memory state."""
+        """Crash the shard: discard the instance and all in-memory state.
+
+        Its file handle goes the way a killed process's descriptors do.
+        """
+        server = self.servers[shard_id]
+        if server is not None:
+            server.close()
         self.servers[shard_id] = None
 
     def restart(self, shard_id: int) -> None:
@@ -96,6 +102,7 @@ def shard_main(conn, shard_id: int, config: Dict[str, object]) -> None:
                 break
             conn.send_bytes(server.handle(data))
     finally:
+        server.close()
         conn.close()
 
 

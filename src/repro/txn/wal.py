@@ -7,6 +7,9 @@ protocols -- this module supplies durability:
 * :class:`WriteAheadLog` -- an append-only, byte-serializable log of
   logical operation records (insert / delete / content / rename) framed
   by BEGIN/COMMIT/ABORT;
+* :class:`WalFile` -- that log's on-disk twin: an append-only file that
+  receives, at each commit barrier, only the records appended since the
+  previous one, and that cuts a torn tail off when it is reopened;
 * :func:`take_checkpoint` / :func:`restore_checkpoint` -- a physical
   snapshot of a document: the exact (SPLID, record) pairs plus the
   vocabulary, so recovered labels are bit-identical (re-parsing XML would
@@ -23,9 +26,11 @@ page-level physiology -- appropriate for the node-granular store.
 from __future__ import annotations
 
 import io
+import os
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dom.document import Document
@@ -118,8 +123,10 @@ class WriteAheadLog:
         self._records: List[LogRecord] = []
         #: Cheap counters for the metrics registry (see
         #: :meth:`collect_metrics`): total appends, appends per record
-        #: kind, and "flushes" -- the WAL is in-memory, so a flush is the
-        #: write-ahead barrier taken at each COMMIT record.
+        #: kind, and "flushes" -- the write-ahead barriers taken, one per
+        #: COMMIT record.  The log itself never touches a file; a
+        #: :class:`WalFile` bound to it does the write at that barrier
+        #: and counts the bytes.
         self.appends: int = 0
         self.flushes: int = 0
         self.appends_by_kind: Dict[LogKind, int] = {}
@@ -207,19 +214,37 @@ class WriteAheadLog:
 
     def to_bytes(self) -> bytes:
         """Serialize the whole log (the 'disk' image)."""
-        out = io.BytesIO()
-        for record in self._records:
-            _write_record(out, record)
-        return out.getvalue()
+        return _serialize(self._records)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "WriteAheadLog":
+        log, clean = cls.clean_prefix(data)
+        if clean != len(data):
+            raise StorageError(f"truncated log record at byte {clean}")
+        return log
+
+    @classmethod
+    def clean_prefix(cls, data: bytes) -> Tuple["WriteAheadLog", int]:
+        """The longest run of whole records ``data`` starts with, and its
+        length in bytes.
+
+        A crash inside an append leaves a strict byte-prefix of the last
+        record.  The codec detects that by length alone (every cut inside
+        a record raises :class:`StorageError`), so everything before the
+        returned offset is intact and everything after it is the torn
+        tail.
+        """
         log = cls()
         stream = io.BytesIO(data)
+        clean = 0
         while True:
-            record = _read_record(stream, len(log._records) + 1)
+            try:
+                record = _read_record(stream, len(log._records) + 1)
+            except StorageError:
+                break
             if record is None:
                 break
+            clean = stream.tell()
             log._records.append(record)
             # Rebuild the metrics counters the byte image does not carry;
             # otherwise a recovered log reports appends == 0 and the
@@ -227,7 +252,7 @@ class WriteAheadLog:
             log._count(record.kind)
             if record.kind is LogKind.COMMIT:
                 log.flushes += 1
-        return log
+        return log, clean
 
     def prefix(self, last_lsn: int) -> bytes:
         """Byte image of the log truncated after ``last_lsn``.
@@ -237,10 +262,80 @@ class WriteAheadLog:
         Used by the fault-injection harness to simulate crashes between
         appends.
         """
-        out = io.BytesIO()
-        for record in self._records[:last_lsn]:
-            _write_record(out, record)
-        return out.getvalue()
+        return _serialize(self._records[:last_lsn])
+
+
+class WalFile:
+    """The on-disk twin of a :class:`WriteAheadLog`: one append-only file.
+
+    The file always holds a byte-prefix of ``log.to_bytes()``, and after
+    :meth:`flush` the whole of it.  A flush serialises only the records
+    appended since the previous one and hands them to the OS in one
+    ``write(2)`` on an unbuffered handle, so a commit costs its own
+    records, not the history.  There is no ``fsync``: the file survives
+    the death of the process (SIGKILL), not of the machine.
+
+    Without an atomic rename a kill inside the write can leave part of a
+    record at the end of the file; :meth:`open` cuts that off.
+    """
+
+    def __init__(self, log: WriteAheadLog, handle: io.FileIO):
+        self.log = log
+        self._handle = handle
+        #: Records of ``log`` already in the file.
+        self._flushed = len(log)
+        #: What this handle wrote, counted at the write.
+        self.bytes_written = 0
+        self.writes = 0
+
+    @classmethod
+    def open(cls, path: str) -> "WalFile":
+        """Open ``path`` for appending, creating it if it is missing.
+
+        An existing file's longest clean record prefix becomes the live
+        :attr:`log`; the file is truncated to that record boundary and
+        later flushes continue after it.  Only a missing file is a cold
+        start: one that exists but cannot be read or written raises
+        :class:`StorageError`, because carrying on would overwrite
+        committed history.
+        """
+        try:
+            # An earlier format rewrote the whole image to this name
+            # and renamed it; one left behind was never acknowledged to
+            # a client, so it is dropped unread.
+            Path(path + ".tmp").unlink(missing_ok=True)
+            try:
+                data = Path(path).read_bytes()
+            except FileNotFoundError:
+                data = b""
+            log, clean = WriteAheadLog.clean_prefix(data)
+            if clean != len(data):
+                os.truncate(path, clean)
+            handle = open(path, "ab", buffering=0)
+        except OSError as exc:
+            raise StorageError(f"cannot open WAL file {path}: {exc}") from exc
+        return cls(log, handle)
+
+    def flush(self) -> None:
+        """The commit barrier: append every record not yet in the file."""
+        end = len(self.log)
+        data = _serialize(self.log._records[self._flushed:end])
+        view = memoryview(data)
+        while view:  # a short write is legal; in practice one pass
+            view = view[self._handle.write(view):]
+            self.writes += 1
+        self._flushed = end
+        self.bytes_written += len(data)
+
+    def close(self) -> None:
+        self._handle.close()
+
+
+def _serialize(records: Sequence[LogRecord]) -> bytes:
+    out = io.BytesIO()
+    for record in records:
+        _write_record(out, record)
+    return out.getvalue()
 
 
 def _write_str(out: io.BytesIO, text: str) -> None:

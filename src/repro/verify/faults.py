@@ -18,17 +18,26 @@ Additionally every *byte*-level truncation of the log image (a torn
 tail) must surface as :class:`~repro.errors.StorageError`, never as a
 codec exception, and recovery from the longest clean prefix must be
 bit-identical to the committed-prefix reference.
+
+The same byte cuts are then taken at the *file* level: the workload
+writes its log through :class:`~repro.txn.wal.WalFile`, and reopening
+the file cut at any byte must adopt the clean prefix, truncate the file
+to that record boundary, recover to the reference, and keep appending.
 """
 
 from __future__ import annotations
 
+import bisect
+import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from pathlib import Path
+from typing import Callable, Dict, List
 
 from repro.database import Database
 from repro.errors import StorageError
 from repro.txn.wal import (
     LogKind,
+    WalFile,
     WriteAheadLog,
     recover,
     recover_with_undo,
@@ -126,9 +135,12 @@ def _point_kind(record_kind: LogKind) -> str:
     return "operation"
 
 
-def _run_workload(db: Database) -> Dict[int, bytes]:
+def _run_workload(
+    db: Database, barrier: Callable[[], None] = lambda: None
+) -> Dict[int, bytes]:
     """Committed inserts/updates/renames, an abort, an in-flight loser.
 
+    ``barrier`` runs after every commit, where a durable log flushes.
     Returns the committed reference image at each commit LSN."""
     references: Dict[int, bytes] = {}
 
@@ -139,6 +151,7 @@ def _run_workload(db: Database) -> Dict[int, bytes]:
     text = db.document.store.first_child(title)
     db.run(db.nodes.update_content(t1, text, "TP Concepts 2e"))
     db.commit(t1)
+    barrier()
     references[db.wal.last_lsn] = canonical_image(db.document)
 
     # Two interleaved transactions on disjoint subtrees (shared ancestors
@@ -153,12 +166,14 @@ def _run_workload(db: Database) -> Dict[int, bytes]:
     db.run(db.nodes.delete_subtree(t3, book))
     db.abort(t3)
     db.commit(t2)
+    barrier()
     references[db.wal.last_lsn] = canonical_image(db.document)
 
     t4 = db.begin("committer-3")
     topic = db.document.element_by_id("t0")
     db.run(db.nodes.rename_element(t4, topic, "subject"))
     db.commit(t4)
+    barrier()
     references[db.wal.last_lsn] = canonical_image(db.document)
 
     # In-flight at the crash: must never appear in any recovered state.
@@ -178,6 +193,7 @@ def run_crash_suite(
     report = CrashReport(protocol=protocol)
     _check_prefix_points(report, protocol, lock_depth)
     _check_torn_tails(report, protocol, lock_depth)
+    _check_wal_file(report, protocol, lock_depth)
     _check_fuzzy_checkpoint(report, protocol, lock_depth)
     _check_torn_checkpoint(report, protocol, lock_depth)
     return report
@@ -267,6 +283,71 @@ def _check_torn_tails(report, protocol, lock_depth) -> None:
                 f"state differing from the reference"
             )
     report.checks["torn-tails"] = "ok" if ok else "failed"
+
+
+def _check_wal_file(report, protocol, lock_depth) -> None:
+    """File-level crash points: the workload flushes through a
+    :class:`WalFile` at each commit, then the file is cut at every byte
+    (a kill inside the ``write``) and reopened."""
+    failures: List[str] = []
+    with tempfile.TemporaryDirectory(prefix="repro-wal-file-") as tmp:
+        path = str(Path(tmp) / "crash.wal")
+        db = _make_db(protocol, lock_depth)
+        base = take_checkpoint(db.document, db.wal)
+        baseline = canonical_image(db.document)
+        wal_file = WalFile.open(path)
+        db.adopt_wal(wal_file.log)
+        references = _run_workload(db, barrier=wal_file.flush)
+        wal_file.close()
+        data = Path(path).read_bytes()
+        log = wal_file.log
+        # The in-flight loser never reached a barrier: the file ends at
+        # the last COMMIT.
+        durable = max(references)
+        if data != log.prefix(durable):
+            failures.append(
+                "wal-file: the file is not the log up to its last commit"
+            )
+        boundaries = [len(log.prefix(lsn)) for lsn in range(durable + 1)]
+        for cut in range(len(data) + 1):
+            Path(path).write_bytes(data[:cut])
+            reopened = WalFile.open(path)
+            lsn = bisect.bisect_right(boundaries, cut) - 1
+            if reopened.log.to_bytes() != data[:boundaries[lsn]]:
+                failures.append(
+                    f"wal-file cut at byte {cut}: adopted log is not the "
+                    f"clean prefix of {lsn} records"
+                )
+            if Path(path).stat().st_size != boundaries[lsn]:
+                failures.append(
+                    f"wal-file cut at byte {cut}: file not truncated to "
+                    f"the record boundary at byte {boundaries[lsn]}"
+                )
+            recovered = recover(base, reopened.log)
+            if canonical_image(recovered) != _reference_at(
+                lsn, baseline, references
+            ):
+                failures.append(
+                    f"wal-file cut at byte {cut}: recovered document "
+                    f"differs from the committed-prefix reference"
+                )
+            # The file continues: one more committed transaction lands
+            # after the boundary, not over it.
+            txn_id = 1 + max(
+                (record.txn_id for record in reopened.log.records()),
+                default=0,
+            )
+            reopened.log.log_begin(txn_id)
+            reopened.log.log_commit(txn_id)
+            reopened.flush()
+            reopened.close()
+            if Path(path).read_bytes() != reopened.log.to_bytes():
+                failures.append(
+                    f"wal-file cut at byte {cut}: file differs from the "
+                    f"log after a further commit"
+                )
+    report.failures.extend(failures)
+    report.checks["wal-file"] = "failed" if failures else "ok"
 
 
 def _check_fuzzy_checkpoint(report, protocol, lock_depth) -> None:

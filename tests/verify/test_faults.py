@@ -18,6 +18,7 @@ class TestCrashSuite:
         assert suite.checks == {
             "prefix-crashes": "ok",
             "torn-tails": "ok",
+            "wal-file": "ok",
             "fuzzy-checkpoint": "ok",
             "torn-checkpoint": "ok",
         }
