@@ -10,6 +10,7 @@ from repro.chaos import AdmissionPolicy, RetryPolicy
 from repro.errors import (
     AdmissionRejected,
     LockTimeout,
+    ProtocolError,
     RemoteError,
     RollbackError,
     UnsupportedWireVersion,
@@ -19,6 +20,7 @@ from repro.net.client import RemoteDatabase, RemoteSession, WireConnection
 from repro.splid import Splid
 
 from tests.net.conftest import make_server
+from tests.net.test_wire import MALFORMED_BODIES, raw_frame
 
 
 @pytest.fixture
@@ -45,24 +47,55 @@ class TestHandshake:
         finally:
             handle.close()
 
-    def test_version_mismatch_is_typed_and_permanent(self, live_server):
+    @staticmethod
+    def hello_reply(live_server, version):
         with socket.create_connection(
             ("127.0.0.1", live_server.port), timeout=5
         ) as sock:
-            sock.sendall(wire.encode_frame(wire.OP_HELLO, 99, "time-traveller"))
-            buffer = b""
-            while True:
-                _payload, total = wire.split_frame(buffer)
-                if total > 0 and len(buffer) >= total:
-                    break
-                chunk = sock.recv(65536)
-                assert chunk, "server closed without an ERROR frame"
-                buffer += chunk
-        opcode, fields = wire.decode_frame(buffer[:total])
+            sock.sendall(wire.encode_frame(wire.OP_HELLO, version, "time-traveller"))
+            return read_frame(sock)
+
+    def test_version_mismatch_is_typed_and_permanent(self, live_server):
+        opcode, fields = self.hello_reply(live_server, 99)
         assert opcode == wire.OP_ERROR
         error = wire.decode_error(fields)
         assert isinstance(error, UnsupportedWireVersion)
         assert repro.is_permanent(error)
+
+    def test_version_1_hello_is_refused(self, live_server):
+        """Version 2 added the packed pair tag a version-1 peer cannot read."""
+        assert wire.WIRE_VERSION == 2
+        opcode, fields = self.hello_reply(live_server, 1)
+        assert opcode == wire.OP_ERROR
+        assert isinstance(wire.decode_error(fields), UnsupportedWireVersion)
+
+
+def read_frame(sock):
+    """Read exactly one frame from a blocking socket and decode it."""
+    buffer = b""
+    while True:
+        _payload, total = wire.split_frame(buffer)
+        if total > 0 and len(buffer) >= total:
+            return wire.decode_frame(buffer[:total])
+        chunk = sock.recv(65536)
+        assert chunk, "server closed without sending a frame"
+        buffer += chunk
+
+
+class TestMalformedFrames:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_BODIES))
+    def test_server_answers_error_frame_and_counts_it(self, live_server, name):
+        errors_before = live_server.server.protocol_errors
+        with socket.create_connection(
+            ("127.0.0.1", live_server.port), timeout=5
+        ) as sock:
+            sock.sendall(wire.encode_frame(wire.OP_HELLO, wire.WIRE_VERSION, "fuzz"))
+            assert read_frame(sock)[0] == wire.OP_WELCOME
+            sock.sendall(raw_frame(wire.OP_CALL, MALFORMED_BODIES[name]))
+            opcode, fields = read_frame(sock)
+        assert opcode == wire.OP_ERROR
+        assert type(wire.decode_error(fields)) is ProtocolError
+        assert live_server.server.protocol_errors == errors_before + 1
 
 
 class TestSessions:
