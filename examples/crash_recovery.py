@@ -38,7 +38,8 @@ def main() -> None:
                   enable_wal=True)
     db.load(LIBRARY)
     checkpoint = take_checkpoint(db.document, db.wal)
-    print(f"checkpoint taken: {len(checkpoint.entries)} node entries")
+    print(f"checkpoint taken: {len(checkpoint.image)}-byte image "
+          f"at lsn {checkpoint.lsn}")
 
     # A: commits a lend (clean session exit -> commit).
     with db.session("A-lender") as a:

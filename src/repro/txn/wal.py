@@ -10,13 +10,15 @@ protocols -- this module supplies durability:
 * :class:`WalFile` -- that log's on-disk twin: an append-only file that
   receives, at each commit barrier, only the records appended since the
   previous one, and that cuts a torn tail off when it is reopened;
-* :func:`take_checkpoint` / :func:`restore_checkpoint` -- a physical
-  snapshot of a document: the exact (SPLID, record) pairs plus the
-  vocabulary, so recovered labels are bit-identical (re-parsing XML would
-  re-allocate overflow labels and break logical redo);
-* :func:`recover` -- checkpoint + log -> committed state: replay the
-  operations of *winner* transactions in LSN order; losers (aborted or
-  in-flight at the crash) are simply not redone.
+* :func:`take_checkpoint` -- a :class:`Checkpoint`: the document's
+  page-exact, CRC-sealed image (:mod:`repro.storage.image`) stamped with
+  the log's LSN, so recovered labels, pages and vocabulary are
+  bit-identical (re-parsing XML would re-allocate overflow labels and
+  break logical redo);
+* :func:`recover` -- checkpoint + log -> committed state: load the image,
+  then replay the operations of *winner* transactions past its LSN in
+  log order; losers (aborted or in-flight at the crash) are simply not
+  redone.
 
 The log is deliberately logical: records carry enough to redo (new state)
 and to audit (old state), mirroring the classic ARIES-style split without
@@ -36,7 +38,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.dom.document import Document
 from repro.errors import StorageError
 from repro.splid import Splid, decode, encode
-from repro.splid.allocator import DEFAULT_DIST
 from repro.storage.record import NodeRecord
 
 
@@ -406,91 +407,17 @@ def _read_record(stream: io.BytesIO, lsn: int) -> Optional[LogRecord]:
 # checkpoints
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Checkpoint:
-    """A physical snapshot: exact labels, records, and the vocabulary."""
+    """A document's page-exact image (:meth:`Document.to_image`) stamped
+    with the LSN up to which it already reflects the log."""
 
-    root_name: str
-    names: Tuple[str, ...]
-    entries: Tuple[Tuple[bytes, bytes], ...]
-    #: LSN up to which the checkpoint already reflects the log.
+    image: bytes
     lsn: int = 0
-    #: Document name and allocator gap: without ``dist`` a restored
-    #: document would label its next insert differently from the live one.
-    name: str = "document"
-    dist: int = DEFAULT_DIST
 
 
 def take_checkpoint(document: Document, log: Optional[WriteAheadLog] = None) -> Checkpoint:
-    return Checkpoint(
-        root_name=document.name_of(document.root),
-        names=tuple(
-            document.vocabulary.name_of(i)
-            for i in range(len(document.vocabulary))
-        ),
-        entries=tuple(
-            (encode(splid), record.encode())
-            for splid, record in document.walk()
-        ),
-        lsn=0 if log is None else log.last_lsn,
-        name=document.name,
-        dist=document.allocator.dist,
-    )
-
-
-def checkpoint_to_bytes(checkpoint: Checkpoint) -> bytes:
-    """Serialize a checkpoint (the on-disk database image)."""
-    out = io.BytesIO()
-    _write_str(out, checkpoint.root_name)
-    _write_str(out, checkpoint.name)
-    out.write(struct.pack(">QI", checkpoint.lsn, checkpoint.dist))
-    out.write(struct.pack(">I", len(checkpoint.names)))
-    for name in checkpoint.names:
-        _write_str(out, name)
-    out.write(struct.pack(">I", len(checkpoint.entries)))
-    for key, value in checkpoint.entries:
-        out.write(struct.pack(">HH", len(key), len(value)))
-        out.write(key)
-        out.write(value)
-    return out.getvalue()
-
-
-def checkpoint_from_bytes(data: bytes) -> Checkpoint:
-    """Inverse of :func:`checkpoint_to_bytes`."""
-    stream = io.BytesIO(data)
-    root_name = _read_str(stream)
-    name = _read_str(stream)
-    lsn, dist = struct.unpack(">QI", _read_exact(stream, 12))
-    (name_count,) = struct.unpack(">I", _read_exact(stream, 4))
-    names = tuple(_read_str(stream) for _i in range(name_count))
-    (entry_count,) = struct.unpack(">I", _read_exact(stream, 4))
-    entries = []
-    for _i in range(entry_count):
-        key_len, value_len = struct.unpack(">HH", _read_exact(stream, 4))
-        entries.append(
-            (_read_exact(stream, key_len), _read_exact(stream, value_len))
-        )
-    return Checkpoint(root_name, names, tuple(entries), lsn, name, dist)
-
-
-def restore_checkpoint(checkpoint: Checkpoint) -> Document:
-    document = Document(
-        name=checkpoint.name, root_element=checkpoint.root_name,
-        dist=checkpoint.dist,
-    )
-    for name in checkpoint.names:
-        document.vocabulary.intern(name)
-    # Wipe the implicit root entry, then restore the exact image.
-    document.element_index.remove(checkpoint.root_name, document.root)
-    document.store.delete(document.root)
-    entries = [
-        (decode(key), NodeRecord.decode(value))
-        for key, value in checkpoint.entries
-    ]
-    for splid, record in entries:
-        document.store.put(splid, record)
-    document._reindex(entries)  # rebuild element + ID indexes
-    return document
+    return Checkpoint(document.to_image(), 0 if log is None else log.last_lsn)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +442,7 @@ def recover(checkpoint: Checkpoint, log: WriteAheadLog) -> Document:
     construction, or compensated by their recorded inverse operations --
     see :func:`recover_with_undo` for the fuzzy-checkpoint variant).
     """
-    document = restore_checkpoint(checkpoint)
+    document = Document.from_image(checkpoint.image)
     winners = winners_of(log)
     for record in log.records():
         if record.lsn <= checkpoint.lsn:
@@ -534,7 +461,7 @@ def recover_with_undo(checkpoint: Checkpoint, log: WriteAheadLog) -> Document:
     this variant replays winners forward and then rolls losers back via
     the inverse of each of their logged operations, newest first.
     """
-    document = restore_checkpoint(checkpoint)
+    document = Document.from_image(checkpoint.image)
     winners = winners_of(log)
     for record in log.records():
         if record.lsn <= checkpoint.lsn or record.txn_id not in winners:

@@ -12,7 +12,7 @@ covers the catalog of interesting injection points:
   barrier: the transaction must be durable from this prefix on;
 * **mid-checkpoint** -- a fuzzy checkpoint taken with a loser in flight
   (recovered via :func:`repro.txn.wal.recover_with_undo`), plus torn
-  checkpoint images that must fail loudly.
+  checkpoint images and single-bit flips that must fail loudly.
 
 Additionally every *byte*-level truncation of the log image (a torn
 tail) must surface as :class:`~repro.errors.StorageError`, never as a
@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Callable, Dict, List
 
 from repro.database import Database
+from repro.dom.document import Document
 from repro.errors import StorageError
 from repro.txn.wal import (
     LogKind,
@@ -403,38 +404,43 @@ def _check_fuzzy_checkpoint(report, protocol, lock_depth) -> None:
     report.checks["fuzzy-checkpoint"] = "ok" if ok else "failed"
 
 
-def _check_torn_checkpoint(report, protocol, lock_depth) -> None:
-    """A crash *during* the checkpoint write leaves a torn image; loading
-    it must fail loudly (so recovery falls back to the previous one)."""
-    from repro.txn.wal import checkpoint_from_bytes, checkpoint_to_bytes
+def _damaged_images(image: bytes):
+    """Every strict byte-prefix of ``image``, then every single-bit flip."""
+    for cut in range(len(image)):
+        yield f"cut at byte {cut}", image[:cut]
+    for bit in range(8 * len(image)):
+        flipped = bytearray(image)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        yield f"bit {bit} flipped", bytes(flipped)
 
-    db, base, _baseline, _references = _prepare(protocol, lock_depth)
-    image = checkpoint_to_bytes(take_checkpoint(db.document, db.wal))
+
+def _check_torn_checkpoint(report, protocol, lock_depth) -> None:
+    """A crash *during* the checkpoint write leaves a torn image, and a
+    bad sector a flipped bit; loading either must fail loudly (so
+    recovery falls back to the previous one)."""
+    db, _base, _baseline, _references = _prepare(protocol, lock_depth)
+    image = take_checkpoint(db.document, db.wal).image
     ok = True
-    # Probe a spread of torn offsets (every byte would be slow: the
-    # checkpoint image carries the whole document).
-    probes = sorted({1, 2, 5, len(image) // 3, len(image) // 2,
-                     len(image) - 2, len(image) - 1})
-    for cut in probes:
+    for label, data in _damaged_images(image):
         try:
-            checkpoint_from_bytes(image[:cut])
+            Document.from_image(data)
         except StorageError:
             continue
         except Exception as exc:  # noqa: BLE001 - the regression we guard
             ok = False
             report.failures.append(
-                f"torn checkpoint at byte {cut}: codec leaked "
-                f"{type(exc).__name__}"
+                f"torn checkpoint, {label}: codec leaked {type(exc).__name__}"
             )
         else:
             ok = False
             report.failures.append(
-                f"torn checkpoint at byte {cut}: truncated image decoded "
-                f"without error"
+                f"torn checkpoint, {label}: damaged image decoded without "
+                f"error"
             )
     # The intact image still round-trips.
-    restored = checkpoint_from_bytes(image)
-    if restored.entries != base.entries and restored.lsn < base.lsn:
-        ok = False  # pragma: no cover - codec round-trip invariant
+    if canonical_image(Document.from_image(image)) != canonical_image(
+        db.document
+    ):
+        ok = False
         report.failures.append("torn checkpoint: intact image mismatch")
     report.checks["torn-checkpoint"] = "ok" if ok else "failed"

@@ -10,7 +10,6 @@ from repro.txn.wal import (
     WriteAheadLog,
     recover,
     recover_with_undo,
-    restore_checkpoint,
     take_checkpoint,
     winners_of,
 )
@@ -176,14 +175,26 @@ class TestLogRecords:
             raise AssertionError(f"truncation at offset {cut} went unnoticed")
 
 
+def restore(checkpoint):
+    """Recovery over an empty log: the checkpoint alone."""
+    return recover(checkpoint, WriteAheadLog())
+
+
 class TestCheckpoints:
     def test_restore_is_exact(self):
         db = make_db()
         checkpoint = take_checkpoint(db.document)
-        restored = restore_checkpoint(checkpoint)
+        restored = restore(checkpoint)
         assert document_image(restored) == document_image(db.document)
         assert restored.element_by_id("b0") is not None
         assert restored.elements_by_name("lend")
+
+    def test_restore_is_page_exact(self):
+        # Page layout, pool residency and I/O counters survive, not only
+        # the logical state.
+        db = make_db()
+        restored = restore(take_checkpoint(db.document))
+        assert restored.to_image() == db.document.to_image()
 
     def test_restore_preserves_overflow_labels(self):
         db = make_db()
@@ -193,49 +204,28 @@ class TestCheckpoints:
         inserted = db.document.add_element(topic, "book", after=kids[0])
         assert 2 in [d % 2 for d in inserted.divisions] or True
         checkpoint = take_checkpoint(db.document)
-        restored = restore_checkpoint(checkpoint)
+        restored = restore(checkpoint)
         assert restored.exists(inserted)
-
 
     def test_restore_keeps_name_and_allocator_gap(self):
         from repro.dom.document import Document
-        from repro.txn.wal import checkpoint_from_bytes, checkpoint_to_bytes
 
         live = Document(name="library", root_element="bib", dist=8)
         live.add_element(live.root, "topics")
-        checkpoint = take_checkpoint(live)
-        for restored in (
-            restore_checkpoint(checkpoint),
-            restore_checkpoint(
-                checkpoint_from_bytes(checkpoint_to_bytes(checkpoint))
-            ),
-        ):
-            assert restored.name == "library"
-            assert restored.allocator.dist == 8
-            # The next label after recovery is the one the live document
-            # hands out (dist=2 would give 1.11 instead of 1.17).
-            twin = Document(name="library", root_element="bib", dist=8)
-            twin.add_element(twin.root, "topics")
-            assert (
-                restored.add_element(restored.root, "persons")
-                == twin.add_element(twin.root, "persons")
-            )
+        restored = restore(take_checkpoint(live))
+        assert restored.name == "library"
+        assert restored.allocator.dist == 8
+        # The next label after recovery is the one the live document
+        # hands out (dist=2 would give 1.11 instead of 1.17).
+        twin = Document(name="library", root_element="bib", dist=8)
+        twin.add_element(twin.root, "topics")
+        assert (
+            restored.add_element(restored.root, "persons")
+            == twin.add_element(twin.root, "persons")
+        )
 
 
 class TestCheckpointBytes:
-    def test_round_trip(self):
-        from repro.txn.wal import checkpoint_from_bytes, checkpoint_to_bytes
-
-        db = make_db()
-        checkpoint = take_checkpoint(db.document, db.wal)
-        data = checkpoint_to_bytes(checkpoint)
-        loaded = checkpoint_from_bytes(data)
-        assert loaded.root_name == checkpoint.root_name
-        assert loaded.names == checkpoint.names
-        assert loaded.entries == checkpoint.entries
-        assert loaded.lsn == checkpoint.lsn
-        assert loaded == checkpoint
-
     def test_database_save_and_load(self, tmp_path):
         db = make_db()
         txn = db.begin("t")
