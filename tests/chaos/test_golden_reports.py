@@ -23,11 +23,10 @@ SIM_RUNS = sorted(
 
 
 @pytest.mark.parametrize("name", SIM_RUNS)
-def test_report_bytes_and_fingerprint(name, tmp_path, capsys):
+def test_report_bytes_and_fingerprint(name, tmp_path):
     entry = GOLDEN[name]
     path = tmp_path / "report.json"
     assert main(["chaos", *entry["args"], "--json", str(path)]) == 0
-    capsys.readouterr()
     data = path.read_bytes()
     assert json.loads(data)["fingerprint"] == entry["fingerprint"]
     assert hashlib.sha256(data).hexdigest() == entry["sha256"]
