@@ -226,6 +226,21 @@ class TestCheckpoints:
 
 
 class TestCheckpointBytes:
+    def test_round_trip(self):
+        from repro.dom.document import Document
+        from repro.txn.wal import Checkpoint
+
+        db = make_db()
+        checkpoint = take_checkpoint(db.document, db.wal)
+        assert checkpoint.lsn == db.wal.last_lsn
+        data = bytes(checkpoint.image)
+        loaded = Checkpoint(
+            Document.from_image(data).to_image(), checkpoint.lsn
+        )
+        assert loaded.image == checkpoint.image == db.document.to_image()
+        assert loaded.lsn == checkpoint.lsn
+        assert loaded == checkpoint
+
     def test_database_save_and_load(self, tmp_path):
         db = make_db()
         txn = db.begin("t")
