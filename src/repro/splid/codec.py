@@ -72,9 +72,10 @@ def decode(data: bytes) -> Splid:
 def _splid_from_decoded(divs: Tuple[int, ...]) -> Splid:
     """Interned Splid from decoded divisions.
 
-    Band/Huffman decoding guarantees every division is >= 1, so only the
-    root and odd-tail invariants remain to check before taking the
-    trusted constructor path.
+    :func:`decode_divisions` refuses a zero band-1 byte and its longer
+    bands start above 0x7F, so every division is >= 1; only the root and
+    odd-tail invariants remain to check before taking the trusted
+    constructor path.
     """
     if divs[0] != 1:
         raise SplidError(f"document root division must be 1, got {divs[0]}")
@@ -90,6 +91,8 @@ def decode_divisions(data: bytes) -> Tuple[int, ...]:
     while i < n:
         lead = data[i]
         if lead <= _BAND1_MAX:
+            if not lead:
+                raise SplidError("division values must be >= 1, got 0")
             divisions.append(lead)
             i += 1
         elif lead < 0xC0:

@@ -150,6 +150,8 @@ MALFORMED_BODIES = {
     "surrogate-above-0xffff": b"\x08\x01\x0b\x01\x80\x80\x04\x00",
     # (Splid((0, 3)),): the root division must be 1
     "bad-splid": b"\x08\x01\x0a\x02\x00\x03",
+    # (Splid((1, 0, 3)),): every division must be >= 1
+    "zero-division-splid": b"\x08\x01\x0a\x03\x01\x00\x03",
     # (NodeRecord(kind=9),)
     "unknown-node-kind": b"\x08\x01\x0b\x09\x00\x00",
     # the packed pair tag cut inside its first record

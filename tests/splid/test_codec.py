@@ -62,6 +62,15 @@ class TestRoundTrip:
         with pytest.raises(SplidError):
             decode_divisions(full[:-1])
 
+    def test_decode_rejects_zero_division(self):
+        with pytest.raises(SplidError):
+            decode_divisions(b"\x01\x00\x03")
+        with pytest.raises(SplidError):
+            decode(b"\x01\x00\x03")
+        # The refused decode left nothing behind for the constructor.
+        with pytest.raises(SplidError):
+            Splid((1, 0, 3))
+
 
 class TestOrderPreservation:
     def test_ancestor_is_byte_prefix(self):
