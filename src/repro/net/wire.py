@@ -71,8 +71,8 @@ from repro.errors import (
     is_transient,
 )
 from repro.query.parser import QueryError
-from repro.splid import Splid
-from repro.storage.record import NO_NAME, NodeKind, NodeRecord
+from repro.splid import Splid, decode, encode
+from repro.storage.record import KIND_BY_VALUE, NO_NAME, NodeRecord
 
 #: The one wire-protocol version this build speaks.
 WIRE_VERSION = 2
@@ -153,7 +153,6 @@ _T_RECORD = 0x0B
 _T_PAIRS = 0x0C     # version 2: list of (Splid, NodeRecord), no inner tags
 
 _FLOAT = struct.Struct(">d")
-_KINDS = {int(kind): kind for kind in NodeKind}
 #: ``NO_NAME`` as a varint.  Text, string and attribute-root records --
 #: over half of those a ``read_subtree`` reply carries -- have no name, so
 #: the decoder matches these three bytes before looping over a varint.
@@ -169,17 +168,15 @@ def _write_varint(out: bytearray, value: int) -> None:
 
 
 def _write_splid(out: bytearray, splid: Splid) -> None:
-    """Division count, then one varint per division -- one
-    ``bytes(divisions)`` when every division fits in 7 bits."""
-    divisions = splid.divisions
-    try:
-        raw = bytes(divisions)
-    except ValueError:              # a division above 0xFF
-        raw = None
-    if raw is not None and len(raw) < 0x80 and raw.isascii():
-        out.append(len(raw))
-        out += raw
+    """Division count, then one varint per division.  When every
+    division fits in 7 bits that is the label's byte key (one band-1 byte
+    per division), so the memoised key is written as it is."""
+    key = encode(splid)
+    if len(key) < 0x80 and key.isascii():
+        out.append(len(key))
+        out += key
         return
+    divisions = splid.divisions
     _write_varint(out, len(divisions))
     for division in divisions:
         _write_varint(out, division)
@@ -285,9 +282,9 @@ _BY_BASE = tuple(
 
 
 def _encode_subclass(out: bytearray, value: Any, depth: int) -> None:
-    for base, encode in _BY_BASE:
+    for base, encoder in _BY_BASE:
         if isinstance(value, base):
-            return encode(out, value, depth)
+            return encoder(out, value, depth)
     raise ProtocolError(f"type {type(value).__name__} is not wire-encodable")
 
 
@@ -329,10 +326,10 @@ def _slice_at(data: bytes, pos: int) -> Tuple[bytes, int]:
 def _splid_at(data: bytes, pos: int) -> Tuple[Splid, int]:
     count = data[pos] if pos < len(data) else 0x80
     chunk = data[pos + 1:pos + 1 + count]
-    if 0 < count < 0x80 and len(chunk) == count and chunk.isascii():
-        divisions = tuple(chunk)    # every division is one byte
-        pos += 1 + count
-    else:
+    try:
+        if 0 < count < 0x80 and len(chunk) == count and chunk.isascii():
+            # Every division is one byte: the chunk is the label's key.
+            return decode(chunk), pos + 1 + count
         count, pos = _varint_at(data, pos)
         if not 0 < count <= 4096:
             raise ProtocolError(f"implausible SPLID division count {count}")
@@ -340,15 +337,13 @@ def _splid_at(data: bytes, pos: int) -> Tuple[Splid, int]:
         for _i in range(count):
             division, pos = _varint_at(data, pos)
             divisions.append(division)
-        divisions = tuple(divisions)
-    try:
-        return Splid(divisions), pos
+        return Splid(tuple(divisions)), pos
     except SplidError as exc:
         raise ProtocolError(f"malformed SPLID on the wire: {exc}") from None
 
 
 def _record_at(data: bytes, pos: int) -> Tuple[NodeRecord, int]:
-    kind = _KINDS.get(data[pos]) if pos < len(data) else None
+    kind = KIND_BY_VALUE.get(data[pos]) if pos < len(data) else None
     if kind is None:
         raise ProtocolError(f"torn frame or unknown node kind at offset {pos}")
     surrogate = data[pos + 1] if pos + 1 < len(data) else 0x80

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.errors import SplidError
-from repro.splid.splid import Splid
+from repro.splid.splid import _INTERN, Splid, _intern
 
 _BAND1_MAX = 0x7F
 _BAND2_MAX = _BAND1_MAX + (1 << 14)          # 0x407F
@@ -60,13 +60,38 @@ def encode_division(value: int) -> bytes:
 
 
 def encode(splid: Splid) -> bytes:
-    """Byte key for a SPLID (concatenated per-division codes)."""
-    return b"".join(encode_division(d) for d in splid.divisions)
+    """Byte key for a SPLID (concatenated per-division codes).
+
+    Computed once per instance and memoised on it.  The key of a
+    canonical instance also enters the intern table, so :func:`decode`
+    of it is a lookup.
+    """
+    key = splid._key
+    if key is None:
+        divs = splid._divisions
+        key = b"".join(encode_division(d) for d in divs)
+        splid._key = key
+        if _INTERN.get(divs) is splid:
+            _intern(key, splid)
+    return key
 
 
 def decode(data: bytes) -> Splid:
-    """Inverse of :func:`encode`."""
-    return _splid_from_decoded(decode_divisions(data))
+    """Inverse of :func:`encode`.
+
+    A key found in the intern table is answered without decoding or
+    validation: the codec is a bijection, and only the keys of labels
+    that passed validation are ever entered.
+    """
+    if type(data) is not bytes:
+        data = bytes(data)
+    splid = _INTERN.get(data)
+    if splid is None:
+        splid = _splid_from_decoded(decode_divisions(data))
+        if splid._key is None:
+            splid._key = data
+        _intern(data, splid)
+    return splid
 
 
 def _splid_from_decoded(divs: Tuple[int, ...]) -> Splid:

@@ -24,8 +24,10 @@ locking, so the value type is engineered as a hot-path kernel:
 * instances are **interned** through a bounded canonicalizing cache keyed
   by the division tuple, so the labels a workload keeps re-deriving
   (ancestor paths, lock anchors) are materialized exactly once;
-* ``level``, the hash, the ``parent`` link, and the full ancestor chain
-  are **memoized** on the instance (``__slots__``-backed lazy fields) --
+* ``level``, the hash, the ``parent`` link, the full ancestor chain and
+  the encoded byte key (:func:`repro.splid.codec.encode`, which also
+  enters the key in the same cache so a decode of it is a lookup) are
+  **memoized** on the instance (``__slots__``-backed lazy fields) --
   the first ancestor walk pays O(depth), every later one is a tuple read;
 * ``ancestor_at_level`` indexes the cached chain (each parent step drops
   exactly one level), turning the old per-call reparse into O(1) after
@@ -42,6 +44,8 @@ This module implements the label value type.  Allocation of new labels
 
 from __future__ import annotations
 
+import threading
+from itertools import islice
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import SplidError
@@ -55,12 +59,25 @@ META_DIVISION = 1
 INTERN_CAPACITY = 1 << 16
 _EVICT_BATCH = 1 << 10
 
-#: division tuple -> canonical instance.  Plain dict: reads and writes
-#: are GIL-atomic, and a lost race merely creates a short-lived duplicate
-#: that compares equal to the canonical instance.
-_INTERN: Dict[Tuple[int, ...], "Splid"] = {}
+#: division tuple or encoded byte key -> canonical instance (a tuple
+#: never equals a ``bytes``, so the two kinds cannot collide; both count
+#: against the capacity).  Reads take no lock: a lost race merely creates
+#: a short-lived duplicate that compares equal to the canonical instance.
+#: Writes hold ``_INTERN_LOCK``, because eviction iterates the dict and a
+#: concurrent insert would break that iteration.
+_INTERN: Dict[object, "Splid"] = {}
+_INTERN_LOCK = threading.Lock()
 
 _UNSET = object()  # sentinel: ``None`` is a valid parent (the root's)
+
+
+def _intern(key: object, splid: "Splid") -> None:
+    """Enter ``key -> splid``, evicting the oldest entries when full."""
+    with _INTERN_LOCK:
+        if len(_INTERN) >= INTERN_CAPACITY:
+            for old in list(islice(_INTERN, _EVICT_BATCH)):
+                del _INTERN[old]
+        _INTERN[key] = splid
 
 
 class Splid:
@@ -70,7 +87,7 @@ class Splid:
     before their descendants, and siblings sort by their division values.
     """
 
-    __slots__ = ("_divisions", "_hash", "_level", "_parent", "_ancestors")
+    __slots__ = ("_divisions", "_hash", "_level", "_parent", "_ancestors", "_key")
 
     def __new__(cls, divisions: Sequence[int]):
         if type(divisions) is tuple:
@@ -104,11 +121,8 @@ class Splid:
         self._level = None
         self._parent = _UNSET
         self._ancestors = None
-        if len(_INTERN) >= INTERN_CAPACITY:
-            evict = iter(_INTERN)
-            for key in [next(evict) for _ in range(_EVICT_BATCH)]:
-                del _INTERN[key]
-        _INTERN[divs] = self
+        self._key = None
+        _intern(divs, self)
         return self
 
     @classmethod
@@ -153,7 +167,8 @@ class Splid:
     @classmethod
     def clear_intern_cache(cls) -> None:
         """Drop all canonical instances (tests and memory pressure)."""
-        _INTERN.clear()
+        with _INTERN_LOCK:
+            _INTERN.clear()
 
     # -- basic accessors ---------------------------------------------------
 

@@ -29,6 +29,9 @@ class NodeKind(IntEnum):
     DOCUMENT = 6
 
 
+#: Kind byte -> ``NodeKind``: a dict lookup, not the enum's value call.
+KIND_BY_VALUE = {kind.value: kind for kind in NodeKind}
+
 #: Surrogate placeholder for kinds that carry no name.
 NO_NAME = 0xFFFF
 
@@ -54,12 +57,10 @@ class NodeRecord:
     def decode(cls, data: bytes) -> "NodeRecord":
         if len(data) < 3:
             raise StorageError(f"node record too short: {len(data)} bytes")
-        try:
-            kind = NodeKind(data[0])
-        except ValueError:
-            raise StorageError(f"unknown node kind {data[0]}") from None
-        surrogate = int.from_bytes(data[1:3], "big")
-        return cls(kind, surrogate, bytes(data[3:]))
+        kind = KIND_BY_VALUE.get(data[0])
+        if kind is None:
+            raise StorageError(f"unknown node kind {data[0]}")
+        return cls(kind, (data[1] << 8) | data[2], bytes(data[3:]))
 
     # -- convenience constructors ------------------------------------------
 

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.errors import SplidError
 from repro.splid import Splid, encode, decode
+import repro.splid.splid as splid_module
+from repro.splid.splid import _INTERN
 from repro.splid.codec import (
     average_stored_bytes,
     common_prefix_length,
@@ -61,6 +63,15 @@ class TestRoundTrip:
         full = encode_division(0x200)
         with pytest.raises(SplidError):
             decode_divisions(full[:-1])
+
+    @pytest.mark.parametrize("data", [b"\x03", b"\x03\x03", b"\x01\x02", b"\x01\x03\x04"])
+    def test_decode_rejects_invalid_labels(self, data):
+        # Non-root start or even tail: refused on every attempt, never cached.
+        for _attempt in range(2):
+            with pytest.raises(SplidError):
+                decode(data)
+        with pytest.raises(SplidError):
+            Splid(tuple(data))
 
     def test_decode_rejects_zero_division(self):
         with pytest.raises(SplidError):
@@ -149,3 +160,71 @@ def test_byte_order_equals_document_order(a, b):
 def test_front_coding_round_trip(keys):
     encoded = sorted(encode(k) for k in keys)
     assert prefix_decompress(prefix_compress(encoded)) == encoded
+
+
+# -- one key per label: the shared intern table ------------------------------
+
+
+def reference_key(label):
+    """The label's key computed from scratch, bypassing every memo."""
+    return b"".join(encode_division(d) for d in label.divisions)
+
+
+#: Byte strings near the key space: whole division codes behind a root
+#: byte, with some cut short or followed by a zero byte, plus raw noise.
+near_keys = st.one_of(
+    st.binary(max_size=10),
+    st.builds(
+        lambda head, codes, cut, tail: (head + b"".join(codes))[:cut] + tail,
+        st.sampled_from([b"\x01", b"\x03", b""]),
+        st.lists(st.integers(1, 0x5000).map(encode_division), max_size=5),
+        st.integers(0, 24),
+        st.sampled_from([b"", b"\x00", b"\x03"]),
+    ),
+)
+
+
+@settings(max_examples=500)
+@given(data=near_keys)
+def test_every_accepted_key_re_encodes_to_itself(data):
+    try:
+        label = decode(data)
+    except SplidError:
+        # A refused key never enters the table: it is refused again.
+        assert data not in _INTERN
+        with pytest.raises(SplidError):
+            decode(data)
+        return
+    assert encode(label) == data == reference_key(label)
+    assert decode(data) is label
+
+
+@settings(max_examples=300)
+@given(s=splids)
+def test_decode_of_encode_is_the_canonical_label(s):
+    assert decode(encode(s)) == s
+    if Splid(s.divisions) is s:         # still the canonical instance
+        assert decode(encode(s)) is s
+
+
+@settings(max_examples=100, deadline=None)
+@given(labels=st.lists(splids, min_size=1, max_size=40))
+def test_cache_state_never_changes_a_result(labels):
+    """Hit, miss, after a clear and across FIFO eviction: the same key and
+    the same label every time, and the table stays within its capacity."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(splid_module, "INTERN_CAPACITY", 16)
+        patch.setattr(splid_module, "_EVICT_BATCH", 4)
+        Splid.clear_intern_cache()
+        for rounds in range(3):
+            for s in labels:
+                key = reference_key(s)
+                assert encode(s) == key
+                got = decode(key)
+                assert got == s and got.divisions == s.divisions
+                assert encode(got) == key
+                assert encode(Splid(s.divisions)) == key
+                assert Splid.intern_info()["size"] <= 16
+            if rounds == 1:
+                Splid.clear_intern_cache()
+    Splid.clear_intern_cache()

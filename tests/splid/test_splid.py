@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SplidError
-from repro.splid import Splid
+from repro.splid import Splid, decode, encode
 
 
 class TestConstruction:
@@ -101,16 +101,65 @@ class TestInterning:
             Splid((1, 4))  # still rejected on the second attempt
 
     def test_cache_stays_bounded_and_evictees_stay_valid(self):
-        from repro.splid.splid import INTERN_CAPACITY
+        from repro.splid.splid import _INTERN, INTERN_CAPACITY
 
         keep = Splid((1, 999_999))
+        keep_key = encode(keep)
         for i in range(INTERN_CAPACITY + 2_000):
-            Splid((1, 2 * i + 1))
+            decode(encode(Splid((1, 2 * i + 1))))
+        # Byte keys share the one table and count against its capacity.
         info = Splid.intern_info()
         assert info["size"] <= info["capacity"]
+        assert info["size"] == len(_INTERN)
+        assert any(type(key) is bytes for key in _INTERN)
         # Evicted instances still compare and hash by value.
         again = Splid((1, 999_999))
         assert keep == again and hash(keep) == hash(again)
+        assert encode(again) == keep_key and decode(keep_key) is again
+
+    def test_only_the_canonical_instance_is_entered_under_its_key(self):
+        stale = Splid((1, 12_345, 6_789, 4_321))   # a label no other test uses
+        Splid.clear_intern_cache()
+        canonical = Splid((1, 12_345, 6_789, 4_321))
+        assert canonical is not stale
+        key = encode(canonical)
+        assert encode(stale) == key                # memoised on it, not entered
+        assert decode(key) is canonical
+
+    def test_concurrent_interning_survives_eviction(self, monkeypatch):
+        import sys
+        import threading
+
+        import repro.splid.splid as splid_module
+
+        monkeypatch.setattr(splid_module, "INTERN_CAPACITY", 64)
+        monkeypatch.setattr(splid_module, "_EVICT_BATCH", 16)
+        Splid.clear_intern_cache()
+        errors = []
+
+        def worker(offset):
+            try:
+                for i in range(3_000):
+                    label = Splid((1, 2 * (offset + 8 * i) + 1))
+                    assert decode(encode(label)) == label
+            except Exception as exc:  # reported below, with the thread's label
+                errors.append((offset, repr(exc)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            size = Splid.intern_info()["size"]
+        finally:
+            sys.setswitchinterval(interval)
+            Splid.clear_intern_cache()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert size <= 64 + len(threads)
 
     def test_pickle_round_trips_through_intern(self):
         import pickle

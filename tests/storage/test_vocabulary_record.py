@@ -86,13 +86,20 @@ class TestNodeRecord:
     def test_no_name_sentinel(self):
         assert NodeRecord.text().name_surrogate == NO_NAME
 
+    def test_decode_reads_big_endian_surrogate(self):
+        decoded = NodeRecord.decode(b"\x03\x12\x34xy")
+        assert decoded == NodeRecord(NodeKind.ATTRIBUTE, 0x1234, b"xy")
+        assert decoded.kind is NodeKind.ATTRIBUTE
+
     def test_decode_rejects_short(self):
-        with pytest.raises(StorageError):
-            NodeRecord.decode(b"\x01")
+        for data in (b"", b"\x01", b"\x01\x00"):
+            with pytest.raises(StorageError, match="too short"):
+                NodeRecord.decode(data)
 
     def test_decode_rejects_unknown_kind(self):
-        with pytest.raises(StorageError):
-            NodeRecord.decode(b"\x7f\x00\x00")
+        for data in (b"\x00\x00\x00", b"\x07\x00\x00", b"\x7f\x00\x00"):
+            with pytest.raises(StorageError, match="unknown node kind"):
+                NodeRecord.decode(data)
 
     def test_encode_rejects_bad_surrogate(self):
         with pytest.raises(StorageError):
