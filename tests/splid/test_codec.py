@@ -166,7 +166,7 @@ def test_front_coding_round_trip(keys):
 
 
 def reference_key(label):
-    """The label's key computed from scratch, bypassing every memo."""
+    """The label's key computed division by division, bypassing every memo."""
     return b"".join(encode_division(d) for d in label.divisions)
 
 
