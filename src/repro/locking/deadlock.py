@@ -8,15 +8,28 @@ same: detection runs whenever a request blocks, the requester is chosen as
 the victim (it always lies on the detected cycle, so aborting it resolves
 the deadlock deterministically), and every event is recorded with its
 classification.
+
+Detection first asks the lock table whether anyone waits on the
+requester (:meth:`LockTable.is_waited_on`, one pass over the waiting
+tickets).  A cycle through the requester needs an edge into it, so the
+labelled DFS, the classification and the ``wait_edges`` snapshot run
+only when a cycle is possible.  The DFS itself is unchanged, so event
+logs stay byte-identical.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.locking.lock_table import LockTable, WaitTicket
 from repro.obs import DEADLOCK_DETECTED, NULL_TRACER, txn_label
+
+#: Recent deadlock events kept for post-mortem analysis.  Older events
+#: are dropped (their counts stay in :meth:`DeadlockDetector.count`), so
+#: a long-lived server does not pin every victim's undo log.
+_EVENT_CAPACITY = 256
 
 
 def _txn_order(txn: object) -> str:
@@ -74,9 +87,17 @@ class DeadlockDetector:
     """Cycle search over the lock table's wait-for graph."""
 
     table: LockTable
-    events: List[DeadlockEvent] = field(default_factory=list)
+    #: The most recent events, oldest first (at most ``_EVENT_CAPACITY``).
+    events: Deque[DeadlockEvent] = field(
+        default_factory=lambda: deque(maxlen=_EVENT_CAPACITY)
+    )
     #: Observability tracer (no-op by default; set by the lock manager).
     tracer: object = NULL_TRACER
+    #: Running totals per kind, over every event ever detected.
+    _counts: Dict[str, int] = field(
+        init=False, repr=False,
+        default_factory=lambda: {"conversion": 0, "distinct-subtree": 0},
+    )
 
     def check(self, ticket: WaitTicket, active_transactions: int = 0) -> Optional[DeadlockEvent]:
         """Run detection for a freshly blocked request.
@@ -84,6 +105,8 @@ class DeadlockDetector:
         Returns the deadlock event (victim = the requester) if the request
         closed a cycle, else ``None``.
         """
+        if not self.table.is_waited_on(ticket.txn):
+            return None
         cycle = self._find_cycle(ticket.txn)
         if cycle is None:
             return None
@@ -112,6 +135,7 @@ class DeadlockDetector:
             waiting_modes=tuple(waiting_modes),
         )
         self.events.append(event)
+        self._counts[event.kind] += 1
         if self.tracer.enabled:
             self.tracer.emit(
                 DEADLOCK_DETECTED,
@@ -128,13 +152,10 @@ class DeadlockDetector:
     # -- statistics -------------------------------------------------------------
 
     def count(self) -> int:
-        return len(self.events)
+        return sum(self._counts.values())
 
     def counts_by_kind(self) -> Dict[str, int]:
-        counts = {"conversion": 0, "distinct-subtree": 0}
-        for event in self.events:
-            counts[event.kind] += 1
-        return counts
+        return dict(self._counts)
 
     # -- internals -----------------------------------------------------------------
 

@@ -221,6 +221,38 @@ class LockTable:
                     blockers.add(ahead.txn)
         return blockers
 
+    def is_waited_on(self, txn: object) -> bool:
+        """True iff ``txn`` is in :meth:`blockers_of` of some other waiter.
+
+        The same two clauses without building sets: ``txn`` holds a mode
+        the waiter's mode is incompatible with, or (fresh requests only)
+        ``txn`` queues ahead of the waiter.  A transaction has at most one
+        queued ticket, its ``_waiting`` entry, so only that ticket's queue
+        is scanned.  The deadlock detector asks this first, since a cycle
+        through ``txn`` needs an edge into it.
+        """
+        entries = self._entries
+        mine = self._waiting.get(txn)
+        mine_entry = None if mine is None else entries.get(mine.resource)
+        for ticket in self._waiting.values():
+            if ticket is mine:
+                continue
+            entry = entries.get(ticket.resource)
+            if entry is None:
+                continue
+            held_idx = entry.granted.get(txn)
+            if held_idx is not None:
+                mask = self._tables[ticket.resource[0]].compat_mask[ticket.mode_idx]
+                if not (mask >> held_idx) & 1:
+                    return True
+            if entry is mine_entry and not ticket.is_conversion:
+                for ahead in entry.queue:
+                    if ahead is ticket:
+                        break
+                    if ahead is mine:
+                        return True
+        return False
+
     def wait_edges(self) -> Dict[object, Set[object]]:
         """Current wait-for graph: waiter -> blocking transactions."""
         return {

@@ -1,10 +1,14 @@
 """Unit tests for the deadlock detector (wait-for graph analysis)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import NODE_SPACE
 from repro.core.tables import TADOM2_TABLE
 from repro.locking import DeadlockDetector, LockTable
+from repro.locking.deadlock import _EVENT_CAPACITY
 from repro.splid import Splid
 
 
@@ -93,6 +97,40 @@ class TestClassification:
         counts = detector.counts_by_kind()
         assert counts == {"conversion": 0, "distinct-subtree": 1}
         assert detector.count() == 1
+
+
+class TestEventLog:
+    """Counts cover every deadlock; the event log keeps only recent ones."""
+
+    def test_bounded_log_exact_counts_and_victims_collected(self, table,
+                                                            detector):
+        class Txn:
+            def __init__(self, label):
+                self.label = label
+
+        rounds = _EVENT_CAPACITY + 44
+        first_victim = None
+        for i in range(rounds):
+            t1, t2 = Txn(f"a{i:04d}"), Txn(f"b{i:04d}")
+            table.request(t1, NODE_SPACE, NODE_A, "SX")
+            table.request(t2, NODE_SPACE, NODE_B, "SX")
+            assert detector.check(
+                table.request(t1, NODE_SPACE, NODE_B, "NR").ticket) is None
+            event = detector.check(
+                table.request(t2, NODE_SPACE, NODE_A, "NR").ticket)
+            assert event is not None and event.victim is t2
+            if first_victim is None:
+                first_victim = weakref.ref(t2)
+            table.cancel_wait(t2)
+            table.release_all(t2)
+            table.release_all(t1)
+        assert detector.count() == rounds
+        assert detector.counts_by_kind() == {
+            "conversion": 0, "distinct-subtree": rounds}
+        assert len(detector.events) == _EVENT_CAPACITY
+        assert detector.events[-1].victim.label == f"b{rounds - 1:04d}"
+        gc.collect()
+        assert first_victim() is None
 
 
 class TestDeterminism:
