@@ -10,8 +10,8 @@ The package rebuilds the paper's complete experimental system:
   (:mod:`repro.core`, :mod:`repro.locking`);
 * transactions with the four isolation levels used in the paper
   (:mod:`repro.txn`);
-* a deterministic discrete-event concurrency substrate plus a real-thread
-  runtime (:mod:`repro.sched`);
+* a deterministic discrete-event concurrency substrate
+  (:mod:`repro.sched`);
 * the TaMix benchmark framework with the bib document generator, the five
   transaction types, and the CLUSTER1/CLUSTER2 workloads
   (:mod:`repro.tamix`).

@@ -185,15 +185,6 @@ class ModeTable:
         #: :attr:`anchor_flags` in index order.
         self.anchor_flags_idx = tuple(self.anchor_flags[m] for m in modes)
         self.anchor_any_idx = tuple(any(self.anchor_flags[m]) for m in modes)
-        #: Lock-escalation targets: the least mode granting a whole-subtree
-        #: read / write (``None`` when the protocol has no subtree modes,
-        #: which disables escalation for it).
-        self.escalation_read_mode = _least_covering(
-            modes, self.coverage, frozenset({"subtree_read"})
-        )
-        self.escalation_write_mode = _least_covering(
-            modes, self.coverage, frozenset({"subtree_write"})
-        )
         # Which requested modes have *monotone* coverage under this
         # table's lattice?  Bit r is set iff subsumption is reflexive for
         # r and every conversion away from a mode that subsumed r still

@@ -14,7 +14,7 @@ This is the public entry point a downstream user starts from::
 lifecycles themselves.  ``Database.run`` drives an operation generator
 synchronously (single-user convenience).  Concurrent workloads hand the
 generators to a :class:`~repro.sched.simulator.Simulator` (see
-:mod:`repro.tamix`) or to the threaded runtime instead.
+:mod:`repro.tamix`) or serve them over TCP (:mod:`repro.net.server`).
 
 Observability: pass ``observability=True`` (or a configured
 :class:`~repro.obs.Observability`) to record a structured event trace;
@@ -57,7 +57,6 @@ class Database:
         wait_timeout_ms: Optional[float] = 10_000.0,
         enable_wal: bool = False,
         observability: Union[Observability, bool, None] = None,
-        escalation_threshold: Optional[int] = None,
     ):
         if isinstance(protocol, str):
             protocol = get_protocol(protocol)
@@ -85,7 +84,6 @@ class Database:
             wait_timeout_ms=wait_timeout_ms,
             active_transactions=lambda: self.transactions.active_count,
             obs=self.obs,
-            escalation_threshold=escalation_threshold,
         )
         self.wal = None
         if enable_wal:

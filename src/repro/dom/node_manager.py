@@ -3,8 +3,9 @@
 Every operation is a *generator* that yields simulation effects
 (:class:`~repro.sched.simulator.Delay` for simulated work,
 :class:`~repro.locking.lock_table.WaitTicket` for lock waits), so the same
-code runs under the discrete-event simulator, the threaded runtime, and
-the single-user driver (:func:`repro.sched.simulator.run_sync`).
+code runs under the discrete-event simulator, the live server
+(:mod:`repro.net.server`), and the single-user driver
+(:func:`repro.sched.simulator.run_sync`).
 
 Responsibilities, mirroring XTC's node manager (Section 3):
 

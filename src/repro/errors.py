@@ -156,8 +156,8 @@ class LockTimeout(TransactionAborted, TransientError):
 
     Long waits behind coarse locks (e.g. Node2PL's parent-level M locks)
     are aborted rather than stalling the system indefinitely; TaMix counts
-    these among the aborted transactions.  Both runtimes (the simulator
-    and the threaded driver) raise it with the contested resource
+    these among the aborted transactions.  Both drivers (the simulator
+    and the live server) raise it with the contested resource
     attached.  Transient: the lock holder will eventually finish.
     """
 

@@ -4,8 +4,8 @@ The node manager hands abstract :class:`~repro.core.protocol.MetaRequest`
 objects to :meth:`LockManager.acquire`; the configured protocol maps them
 to concrete lock steps, which are executed against the lock table.
 ``acquire`` is a generator: it *yields* :class:`WaitTicket` objects
-whenever a step blocks (the driver -- simulator or threaded runtime --
-parks the transaction until the grant fires) and finally *returns* an
+whenever a step blocks (the driver -- simulator or live server -- parks
+the transaction until the grant fires) and finally *returns* an
 :class:`AcquireReport`.
 
 Isolation levels (footnote 5 of the paper) are enforced here:
@@ -109,10 +109,6 @@ class _TxnLockState:
     subtree_read_anchors: Set[Splid] = field(default_factory=set)
     subtree_write_anchors: Set[Splid] = field(default_factory=set)
     level_read_anchors: Set[Splid] = field(default_factory=set)
-    #: parent -> granted node requests below it (escalation trigger).
-    child_grants: Dict[Splid, int] = field(default_factory=dict)
-    #: Parents that saw at least one write-mode child grant.
-    child_write_parents: Set[Splid] = field(default_factory=set)
     #: Ancestor-chain prefixes verified held-and-covering this
     #: generation (cleared whenever the transaction releases anything);
     #: see LockManager._batch_fast.
@@ -161,7 +157,6 @@ class LockManager:
         wait_timeout_ms: Optional[float] = 10_000.0,
         active_transactions: Optional[Callable[[], int]] = None,
         obs: Optional[Observability] = None,
-        escalation_threshold: Optional[int] = None,
     ):
         self.protocol = protocol
         self.lock_depth = lock_depth
@@ -175,12 +170,6 @@ class LockManager:
         self.table = LockTable(protocol.tables())
         #: space -> ModeTable, resolved once for the batched grant loop.
         self._space_tables = dict(protocol.tables())
-        #: Node -> subtree escalation after this many granted child
-        #: requests under one parent; None disables the policy (the
-        #: default, keeping seeded runs byte-identical with PR 5).
-        self.escalation_threshold = escalation_threshold
-        #: Subtree locks taken by the escalation policy.
-        self.escalations = 0
         #: Fault-injection hook (repro.chaos): bound per-call method, or
         #: None -- the zero-cost-when-disabled dispatch (see the chaos
         #: property below).
@@ -367,7 +356,6 @@ class LockManager:
          states_get, anchor_covered, note_grant, mode_usage) = self._hot
         fanouts = report.fanouts
         hook = self._chaos_lock
-        track_children = self.escalation_threshold is not None
         prefix_len = pp.prefix_len
         memo_store = False
         if start == 0 and prefix_len:
@@ -433,7 +421,7 @@ class LockManager:
                     # plain node locks) has no coverage-cache effect: the
                     # key cannot appear in any anchor set, so the
                     # add/discard bookkeeping is a no-op and is skipped.
-                    if track_children or table.anchor_any_idx[midx]:
+                    if table.anchor_any_idx[midx]:
                         note_grant(txn, step.space, step.key, granted_mode)
                     continue
                 code = grant_fast(txn, resource, midx, table, entry=entry)
@@ -452,7 +440,7 @@ class LockManager:
                                     table.modes[child_idx]))
                 # Conversions (held_idx >= 0) may drop anchors of the old
                 # mode, so they always refresh the coverage cache.
-                if held_idx >= 0 or track_children or table.anchor_any_idx[gidx]:
+                if held_idx >= 0 or table.anchor_any_idx[gidx]:
                     note_grant(txn, step.space, step.key, granted_mode)
         finally:
             if fresh:
@@ -777,70 +765,12 @@ class LockManager:
         elif key in state.level_read_anchors:
             state.level_read_anchors.remove(key)
             state.covered_memo.clear()
-        if self.escalation_threshold is not None and space == NODE_SPACE:
-            parent = key.parent
-            if parent is not None:
-                count = state.child_grants.get(parent, 0) + 1
-                state.child_grants[parent] = count
-                if mode in table.write_modes:
-                    state.child_write_parents.add(parent)
-                if count >= self.escalation_threshold:
-                    self._try_escalate(txn, state, parent, table)
-
-    def _try_escalate(self, txn: object, state: _TxnLockState,
-                      parent: Splid, table) -> None:
-        """Opportunistic node -> subtree escalation on ``parent``.
-
-        Taking the subtree lock goes through the normal conversion
-        machinery but is strictly non-blocking (``grant_fast``): if the
-        subtree mode is not instantly compatible with the other holders,
-        the transaction simply keeps its node-level locks.  Escalation
-        only ever *adds* a lock -- child locks are not released, which
-        keeps the two-phase discipline trivially intact -- so it is safe
-        under every isolation level; what it buys is that every later
-        request below ``parent`` becomes a coverage-cache hit.
-        """
-        write = parent in state.child_write_parents
-        mode = table.escalation_write_mode if write else table.escalation_read_mode
-        if mode is None:
-            return  # protocol has no subtree modes: never escalates
-        anchors = (state.subtree_write_anchors if write
-                   else state.subtree_read_anchors)
-        if self._anchored(anchors, parent, None):
-            return  # already covered by an equal-or-higher anchor
-        code = self.table.grant_fast(
-            txn, (NODE_SPACE, parent), table.mode_index[mode], table,
-            reject_fanout=True,
-        )
-        if code < 0:
-            return  # contended (or fan-out conversion): stay node-level
-        granted_mode = table.modes[code & 0xFF]
-        self.escalations += 1
-        usage_key = (NODE_SPACE, granted_mode)
-        self.mode_usage[usage_key] = self.mode_usage.get(usage_key, 0) + 1
-        if self._tracing:
-            # The escalated lock is a real acquisition: trace it as a
-            # grant too, so the history oracle's lock replay sees the
-            # coverage that lets later child requests be skipped.
-            self.tracer.emit(
-                LOCK_GRANT, txn=txn_label(txn), space=NODE_SPACE,
-                key=str(parent), mode=granted_mode, waited_ms=0.0,
-            )
-            self.tracer.emit(
-                LOCK_ESCALATE, txn=txn_label(txn), node=str(parent),
-                to_mode=granted_mode, reason="threshold",
-            )
-        # Recurses through _note_grant: the parent's own grant counts
-        # toward the grandparent, so hot subtrees escalate bottom-up.
-        self._note_grant(txn, NODE_SPACE, parent, granted_mode)
 
     def _refresh_state(self, txn: object, state: _TxnLockState) -> None:
         """Rebuild anchors after selective releases (committed isolation)."""
         state.subtree_read_anchors.clear()
         state.subtree_write_anchors.clear()
         state.level_read_anchors.clear()
-        state.child_grants.clear()
-        state.child_write_parents.clear()
         state.prefix_done.clear()
         state.covered_memo.clear()
         for resource in self.table.held_resources(txn):

@@ -1,8 +1,8 @@
 """The lock table: granted modes, wait queues, conversions.
 
 A pure state machine, deliberately free of threads and clocks so that the
-same table runs under the discrete-event simulator and under the real
-threaded runtime.  The drivers observe blocking through
+same table runs under the discrete-event simulator and under the live
+server's event loop.  The drivers observe blocking through
 :class:`WaitTicket` objects and are notified of grants via callbacks.
 
 Semantics (Section 2.3 / [9]):
@@ -346,14 +346,12 @@ class LockTable:
         return GrantResult(granted=False, ticket=ticket)
 
     def grant_fast(self, txn: object, resource: ResourceKey, midx: int,
-                   table: ModeTable, reject_fanout: bool = False,
-                   entry: object = _MISSING) -> int:
+                   table: ModeTable, entry: object = _MISSING) -> int:
         """Batched-path primitive: grant instantly or refuse.
 
         Returns -1 when the request cannot be granted on the spot (the
-        caller falls back to :meth:`request`, which queues a ticket) or
-        when ``reject_fanout`` is set and the conversion would demand a
-        child fan-out.  On success returns the grant encoded as
+        caller falls back to :meth:`request`, which queues a ticket).  On
+        success returns the grant encoded as
         ``result_idx | (child_idx + 1) << 8``.  Statistics are counted
         exactly as :meth:`request` would -- refused calls count nothing,
         so the fallback's own accounting keeps the totals identical.
@@ -384,8 +382,6 @@ class LockTable:
             flat = held_idx * table.mode_count + midx
             result_idx = table.conv_result[flat]
             child_idx = table.conv_child[flat]
-            if reject_fanout and child_idx >= 0:
-                return -1
             if result_idx == held_idx:
                 self.requests += 1
                 self.instant_grants += 1

@@ -47,6 +47,7 @@ from repro.chaos.retry import AdmissionPolicy, RetryPolicy
 from repro.database import Database
 from repro.errors import (
     AdmissionRejected,
+    ConnectionLostError,
     ProtocolError,
     ReproError,
     TransactionAborted,
@@ -591,12 +592,17 @@ class _AsyncWire:
         conn = cls()
         conn._reader, conn._writer = await asyncio.open_connection(host, port)
         conn.closed = False
-        opcode, body = await conn.request(
-            wire.OP_HELLO, wire.WIRE_VERSION, client_name
-        )
-        if opcode != wire.OP_WELCOME:
-            raise ProtocolError(f"expected WELCOME, got {hex(opcode)}")
-        conn.server_info = body[1]
+        # No caller ever sees a failed handshake's socket: close it here.
+        try:
+            opcode, body = await conn.request(
+                wire.OP_HELLO, wire.WIRE_VERSION, client_name
+            )
+            if opcode != wire.OP_WELCOME:
+                raise ProtocolError(f"expected WELCOME, got {hex(opcode)}")
+            conn.server_info = body[1]
+        except BaseException:
+            conn.close()
+            raise
         return conn
 
     async def request(self, opcode: int, *fields: Any) -> Tuple[int, Tuple]:
@@ -609,8 +615,11 @@ class _AsyncWire:
             length, _total = wire.split_frame(header)
             payload = await self._reader.readexactly(length)
         except (OSError, asyncio.IncompleteReadError) as exc:
+            # Reset or EOF (server restart): transient, retry on a new dial.
             self.close()
-            raise ProtocolError(f"connection lost: {exc}") from None
+            raise ConnectionLostError(
+                f"connection lost mid-call: {exc}"
+            ) from exc
         try:
             reply_op, body = wire.decode_frame(header + payload)
         except ProtocolError:

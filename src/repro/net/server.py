@@ -2,14 +2,13 @@
 
 One server process owns one database (document + lock manager + WAL) and
 serves the wire protocol of :mod:`repro.net.wire`.  Concurrency comes
-from the same substrate as the simulator and the threaded runtime: every
-node-manager operation is a generator yielding
-:class:`~repro.sched.simulator.Delay` and
+from the same substrate as the simulator: every node-manager operation
+is a generator yielding :class:`~repro.sched.simulator.Delay` and
 :class:`~repro.locking.lock_table.WaitTicket` effects, and the server
 drives them on the asyncio event loop -- everything between two yields
 runs atomically on the single loop thread, which is exactly the
-latch-protected atomicity the lock table expects (see DESIGN.md and
-:mod:`repro.sched.threaded`).
+atomicity the lock table expects (see DESIGN.md §3), while the OS picks
+the order in which client requests arrive.
 
 Two classes split the work.  :class:`RequestHandler` decides what one
 request frame does -- sans IO, on whatever clock it is given, blocking
@@ -188,14 +187,11 @@ class ServerConfig:
     observability: Any = None
     #: Admission control for BEGIN frames; ``None`` admits everything.
     admission: Optional[AdmissionPolicy] = None
-    escalation_threshold: Optional[int] = None
     #: Live telemetry plane: windowed series, slow-request log, loop-lag
     #: probe, TELEMETRY/SUBSCRIBE frames.  Disabled, the request path
     #: pays one ``is not None`` check.
     telemetry: bool = True
     telemetry_window_ms: float = 1_000.0
-    telemetry_capacity: int = 120
-    slow_log_size: int = 16
 
 
 #: Event-loop lag buckets (wall ms).  A healthy loop oversleeps its
@@ -259,11 +255,10 @@ class TelemetryPlane:
             "server.loop_lag_ms", LOOP_LAG_BUCKETS_MS
         )
         self.registry.register_collector(self._collect)
-        self.slow = SlowRequestLog(config.slow_log_size)
+        self.slow = SlowRequestLog()
         self.series = WindowedSeries(
             self.snapshot,
             window_ms=config.telemetry_window_ms,
-            capacity=config.telemetry_capacity,
             clock=server.clock,
         )
         self._window_samples: List[float] = []
@@ -738,7 +733,6 @@ class LockServer(RequestHandler):
             wait_timeout_ms=config.wait_timeout_ms,
             enable_wal=config.enable_wal,
             observability=config.observability,
-            escalation_threshold=config.escalation_threshold,
         )
         return cls(database, config=config, info=info)
 
@@ -913,9 +907,9 @@ class LockServer(RequestHandler):
     async def _drive(self, generator, conn: _Connection) -> bytes:
         """Drive one request generator to its reply on the event loop.
 
-        Mirrors :class:`~repro.sched.threaded.ThreadedRuntime._loop`,
-        except that cost-model ``Delay``s never sleep (they are
-        simulation artifacts; the hardware sets the pace): a ``Pause``
+        Unlike the simulator, a cost-model ``Delay`` never sleeps (it
+        is a simulation artifact; the hardware sets the pace); its ms
+        only add to the request's cost attribution.  A ``Pause``
         sleeps its wall milliseconds, and a ``WaitTicket`` parks on an
         :class:`asyncio.Event` that the lock table's grant callback
         sets, honouring the wait timeout.

@@ -10,7 +10,7 @@ with the same granularity as navigation.
 Two evaluators share the step semantics:
 
 * :class:`QueryProcessor` -- transactional: a generator per query, driven
-  by the simulator / threaded runtime / ``Database.run``; acquires locks
+  by the simulator / live server / ``Database.run``; acquires locks
   through the node manager.
 * :func:`evaluate_raw` -- direct evaluation against the raw document, for
   single-user use and as the test oracle for the locked evaluator.

@@ -1,8 +1,7 @@
-"""Concurrency substrates: discrete-event simulator and threaded runtime."""
+"""Concurrency substrate: the deterministic discrete-event simulator."""
 
 from repro.sched.costs import DEFAULT_COSTS, CostModel
 from repro.sched.simulator import Delay, SimulationError, Simulator, run_sync
-from repro.sched.threaded import ThreadedRuntime, run_threaded
 
 __all__ = [
     "CostModel",
@@ -10,7 +9,5 @@ __all__ = [
     "Delay",
     "SimulationError",
     "Simulator",
-    "ThreadedRuntime",
     "run_sync",
-    "run_threaded",
 ]

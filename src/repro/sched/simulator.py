@@ -192,14 +192,14 @@ class Simulator:
         self._handle_effect(process, effect)
 
 
-def run_sync(generator: Generator, *, clock_start: float = 0.0) -> Tuple[Any, float]:
+def run_sync(generator: Generator) -> Tuple[Any, float]:
     """Drive a transaction generator without concurrency.
 
     Delays advance a local clock; a blocking lock wait is an error (there
     is no one to release the lock).  Returns ``(result, elapsed_ms)`` --
     used by single-user examples and by CLUSTER2-style measurements.
     """
-    elapsed = clock_start
+    elapsed = 0.0
     try:
         effect = next(generator)
         while True:

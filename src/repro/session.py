@@ -15,7 +15,7 @@ context manager::
 same operations as :class:`~repro.dom.node_manager.NodeManager`, minus
 the explicit transaction argument.  ``session.run`` drives one operation
 generator to completion (single-user mode); concurrent workloads still
-hand the raw generators to a simulator or the threaded runtime.
+hand the raw generators to a simulator or serve them over TCP.
 
 ``Database.begin/commit/abort`` remain available as thin delegates for
 drivers that need explicit lifecycle control (the TaMix coordinator, the

@@ -45,6 +45,11 @@ from repro.sched.simulator import Delay
 from repro.shard import messages
 from repro.shard.partition import PartitionPlan
 
+#: Consecutive request failures after which the router marks a shard DOWN.
+FAILURE_THRESHOLD = 3
+#: Paces the heartbeat probes to a DOWN shard.
+_PROBE_RETRY = RetryPolicy()
+
 
 class LogicalTxn:
     """Coordinator-side image of one distributed transaction."""
@@ -83,8 +88,8 @@ class _WaitEntry:
 class _ShardHealth:
     """Router-side failure tracking for one shard (allocated lazily).
 
-    A shard accumulates consecutive request failures; at the router's
-    ``failure_threshold`` it is marked DOWN and traffic to it is shed
+    A shard accumulates consecutive request failures; at
+    :data:`FAILURE_THRESHOLD` it is marked DOWN and traffic to it is shed
     locally (no network) until a heartbeat probe -- paced by the retry
     policy's backoff on the simulated clock -- finds it answering again.
     """
@@ -148,8 +153,6 @@ class ShardRouter:
         *,
         rtt_ms: float = 0.1,
         wait_timeout_ms: Optional[float] = 10_000.0,
-        failure_threshold: int = 3,
-        probe_retry: Optional[RetryPolicy] = None,
     ):
         self.plan = plan
         self.transport = transport
@@ -162,8 +165,6 @@ class ShardRouter:
         self.messages_sent = 0
         #: Partition awareness.  ``_health`` stays empty on fault-free
         #: runs, so the healthy hot path pays one empty-dict check.
-        self.failure_threshold = int(failure_threshold)
-        self.probe_retry = probe_retry if probe_retry is not None else RetryPolicy()
         self._probe_rng = random.Random("shard-probe")
         self._health: Dict[int, _ShardHealth] = {}
         self._epoch_of = getattr(transport, "epoch", lambda _sid: 0)
@@ -543,7 +544,7 @@ class ShardRouter:
             return opcode == messages.OP_SHARD_INFO
         except ShardUnavailableError:
             health.probe_attempts += 1
-            health.next_probe_at = self.clock() + self.probe_retry.backoff_ms(
+            health.next_probe_at = self.clock() + _PROBE_RETRY.backoff_ms(
                 health.probe_attempts, self._probe_rng
             )
             return False
@@ -553,10 +554,10 @@ class ShardRouter:
         if health is None:
             health = self._health[shard_id] = _ShardHealth()
         health.failures += 1
-        if not health.down and health.failures >= self.failure_threshold:
+        if not health.down and health.failures >= FAILURE_THRESHOLD:
             health.down = True
             health.probe_attempts = 1
-            health.next_probe_at = self.clock() + self.probe_retry.backoff_ms(
+            health.next_probe_at = self.clock() + _PROBE_RETRY.backoff_ms(
                 1, self._probe_rng
             )
 

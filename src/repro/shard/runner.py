@@ -71,7 +71,6 @@ def shard_config(
     scale: float = 0.1,
     doc_seed: int = 2006,
     wait_timeout_ms: Optional[float] = 10_000.0,
-    escalation_threshold: Optional[int] = None,
     tracing: bool = False,
     access_events: bool = False,
 ) -> Dict[str, object]:
@@ -83,7 +82,6 @@ def shard_config(
         "scale": float(scale),
         "doc_seed": int(doc_seed),
         "wait_timeout_ms": wait_timeout_ms,
-        "escalation_threshold": escalation_threshold,
         "tracing": bool(tracing),
         "access_events": bool(access_events),
     }
@@ -141,7 +139,6 @@ def build_sharded_cluster(
     transport: str = "sim",
     rtt_ms: float = 0.1,
     wait_timeout_ms: Optional[float] = 10_000.0,
-    escalation_threshold: Optional[int] = None,
     fault_schedule=None,
     chaos_seed: int = 0,
     chaos_retry: Optional[RetryPolicy] = None,
@@ -188,7 +185,6 @@ def build_sharded_cluster(
     config = shard_config(
         protocol, lock_depth, isolation, scale=scale,
         wait_timeout_ms=wait_timeout_ms,
-        escalation_threshold=escalation_threshold,
         tracing=obs.tracer.enabled,
         access_events=obs.access_events,
     )
@@ -241,7 +237,6 @@ def run_sharded_cluster1(
     rtt_ms: float = 0.1,
     retry: Optional[RetryPolicy] = None,
     wait_timeout_ms: Optional[float] = 10_000.0,
-    escalation_threshold: Optional[int] = None,
     fault_schedule=None,
     chaos_seed: int = 0,
     request_timeout_s: Optional[float] = None,
@@ -264,14 +259,12 @@ def run_sharded_cluster1(
             protocol, lock_depth=lock_depth, isolation=isolation,
             scale=scale, run_duration_ms=run_duration_ms, seed=seed,
             observability=observability,
-            escalation_threshold=escalation_threshold,
         )
     cluster = build_sharded_cluster(
         protocol, shards=shards, lock_depth=lock_depth,
         isolation=isolation, scale=scale, observability=observability,
         transport=transport, rtt_ms=rtt_ms,
         wait_timeout_ms=wait_timeout_ms,
-        escalation_threshold=escalation_threshold,
         fault_schedule=fault_schedule, chaos_seed=chaos_seed,
         request_timeout_s=request_timeout_s,
     )

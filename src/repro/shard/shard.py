@@ -96,8 +96,8 @@ class ShardServer:
     """Executes shard messages against one replica stack.
 
     ``config`` keys: ``protocol``, ``lock_depth``, ``isolation``,
-    ``scale``, ``doc_seed``, ``wait_timeout_ms``, ``escalation_threshold``,
-    ``tracing``, ``access_events``, ``wal_path``.  The dict is
+    ``scale``, ``doc_seed``, ``wait_timeout_ms``, ``tracing``,
+    ``access_events``, ``wal_path``.  The dict is
     primitive-only so process transports can pickle or wire-ship it.
 
     With a ``wal_path`` the shard is durable against its own death: it
@@ -141,7 +141,6 @@ class ShardServer:
             wait_timeout_ms=config.get("wait_timeout_ms", 10_000.0),
             enable_wal=True,
             observability=obs,
-            escalation_threshold=config.get("escalation_threshold"),
         )
         if self._wal_file is not None:
             # The file's log (empty on a cold start) must keep

@@ -45,7 +45,6 @@ def make_database(
     info: Optional[BibInfo] = None,
     observability=None,
     enable_wal: bool = False,
-    escalation_threshold: Optional[int] = None,
 ) -> tuple:
     """A database plus bib document for one benchmark run."""
     if info is None:
@@ -57,7 +56,6 @@ def make_database(
         document=info.document,
         observability=observability,
         enable_wal=enable_wal,
-        escalation_threshold=escalation_threshold,
     )
     return database, info
 
@@ -73,7 +71,6 @@ def run_cluster1(
     info: Optional[BibInfo] = None,
     observability=None,
     enable_wal: bool = False,
-    escalation_threshold: Optional[int] = None,
 ) -> RunResult:
     """One CLUSTER1 run; returns the paper's metrics.
 
@@ -81,15 +78,10 @@ def run_cluster1(
     deterministic, replayable event trace alongside the metrics; the
     trace's aggregated counters match the returned
     :class:`~repro.tamix.metrics.RunResult` exactly.
-
-    ``escalation_threshold`` enables the lock manager's node-to-subtree
-    escalation policy (``None``, the default, keeps it off so runs stay
-    byte-identical with earlier versions).
     """
     database, info = make_database(
         protocol, lock_depth, isolation, scale=scale, seed=2006, info=info,
         observability=observability, enable_wal=enable_wal,
-        escalation_threshold=escalation_threshold,
     )
     config = TaMixConfig(
         protocol=protocol,

@@ -6,8 +6,7 @@ histogram as they were produced *before* the grant-path rebuild (flat
 bitmask tables, batched ancestor acquisition, slab-allocated entries,
 static instrumentation dispatch).  The rebuild is a pure performance
 change: every value here must reproduce exactly -- byte-identical
-journals, bit-identical float accumulators -- as long as escalation
-stays disabled (its default).
+journals, bit-identical float accumulators.
 """
 
 import json

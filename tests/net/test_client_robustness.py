@@ -1,5 +1,7 @@
 """Client-side robustness: linear frame reassembly, no leaked sockets
-on a failed handshake, and surfaced (never silent) dropped windows."""
+on a failed handshake (blocking pool and the load generator's asyncio
+pool), typed connection loss, and surfaced (never silent) dropped
+windows."""
 
 import asyncio
 import socket
@@ -15,6 +17,7 @@ from repro.errors import (
 )
 from repro.net import wire
 from repro.net.client import ClientPool, RemoteDatabase, WireConnection
+from repro.net.loadgen import _AsyncPool, _AsyncWire
 from repro.net.server import TelemetryPlane, _Subscriber
 
 from tests.net.conftest import make_server
@@ -120,7 +123,22 @@ class _OneShotServer:
         self._sock.close()
 
 
+def _blocking_pool(port):
+    """``(acquire, live)`` for a two-slot :class:`ClientPool`."""
+    pool = ClientPool("127.0.0.1", port, size=2)
+    return pool.acquire, lambda: pool.live
+
+
+def _async_pool(port):
+    """``(acquire, live)`` for the load generator's two-slot pool."""
+    pool = _AsyncPool("127.0.0.1", port, 2, "repro-loadgen")
+    return lambda: asyncio.run(pool.acquire()), lambda: 2 - pool._sem._value
+
+
 class TestHandshakeLeak:
+    """Each failed-handshake case runs against both pools: the blocking
+    ``ClientPool`` and the load generator's ``_AsyncPool``."""
+
     def test_refused_dial_leaves_no_live_slot(self):
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
@@ -131,27 +149,45 @@ class TestHandshakeLeak:
             pool.acquire()
         assert pool.live == 0
 
-    def test_error_reply_to_hello_closes_socket_and_slot(self):
+    @staticmethod
+    def _error_reply_to_hello(make_pool):
         """A server that rejects the HELLO (version mismatch) must leave
         the pool empty *and* the dialed socket closed."""
         server = _OneShotServer(
             wire.encode_error(UnsupportedWireVersion("speak version 1"))
         )
-        pool = ClientPool("127.0.0.1", server.port, size=2)
-        with pytest.raises(UnsupportedWireVersion):
-            pool.acquire()
-        assert pool.live == 0
+        acquire, live = make_pool(server.port)
+        with pytest.raises(UnsupportedWireVersion) as raised:
+            acquire()
+        assert live() == 0
+        # ``raised`` keeps the traceback, and with it the dialed
+        # connection, alive: only an explicit close lets the peer see EOF.
         assert server.client_closed.wait(10), "handshake failure leaked fd"
+        assert raised.value is not None
         server.join()
 
-    def test_non_welcome_reply_closes_socket_and_slot(self):
+    @staticmethod
+    def _non_welcome_reply(make_pool):
         server = _OneShotServer(wire.encode_frame(wire.OP_PONG))
-        pool = ClientPool("127.0.0.1", server.port, size=2)
-        with pytest.raises(ProtocolError, match="expected WELCOME"):
-            pool.acquire()
-        assert pool.live == 0
+        acquire, live = make_pool(server.port)
+        with pytest.raises(ProtocolError, match="expected WELCOME") as raised:
+            acquire()
+        assert live() == 0
         assert server.client_closed.wait(10), "handshake failure leaked fd"
+        assert raised.value is not None
         server.join()
+
+    def test_error_reply_to_hello_closes_socket_and_slot(self):
+        self._error_reply_to_hello(_blocking_pool)
+
+    def test_async_error_reply_to_hello_closes_socket_and_slot(self):
+        self._error_reply_to_hello(_async_pool)
+
+    def test_non_welcome_reply_closes_socket_and_slot(self):
+        self._non_welcome_reply(_blocking_pool)
+
+    def test_async_non_welcome_reply_closes_socket_and_slot(self):
+        self._non_welcome_reply(_async_pool)
 
 
 class TestConnectionLost:
@@ -188,6 +224,24 @@ class TestConnectionLost:
         pool.release(conn)
         assert pool.live == 0, "dead connection held its pool slot"
         assert not pool._idle, "dead connection re-entered the idle list"
+
+    def test_async_wire_hangup_is_typed_transient(self):
+        """The load generator's asyncio connection types a peer hangup
+        the same way, so ``client_slot`` retries instead of counting a
+        protocol error."""
+        async def hangup():
+            ours, theirs = socket.socketpair()
+            theirs.close()
+            conn = _AsyncWire()
+            conn._reader, conn._writer = await asyncio.open_connection(
+                sock=ours
+            )
+            conn.closed = False
+            with pytest.raises(ConnectionLostError, match="lost mid-call"):
+                await conn.request(wire.OP_PING)
+            assert conn.closed, "broken connection must mark itself dead"
+
+        asyncio.run(hangup())
 
 
 class TestDroppedWindows:

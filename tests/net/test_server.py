@@ -1,7 +1,9 @@
 """Live server tests: handshake, typed errors over the wire, admission
-shed, SLO stats, and survival of malformed requests."""
+shed, SLO stats, survival of malformed requests, and exact counts under
+concurrent client threads."""
 
 import socket
+import threading
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.errors import (
     ProtocolError,
     RemoteError,
     RollbackError,
+    TransactionAborted,
     UnsupportedWireVersion,
 )
 from repro.net import wire
@@ -265,4 +268,70 @@ class TestAdmission:
             finally:
                 retrying.close()
         finally:
+            handle.shutdown()
+
+
+class TestConcurrentClients:
+    def test_concurrent_appends_count_exactly(self):
+        """Eight client threads append lends to one history in whatever
+        order the OS delivers their requests; every transaction either
+        commits its one child or leaves no trace."""
+        clients, per_client = 8, 5
+        handle = make_server()  # a private document
+        db = RemoteDatabase("127.0.0.1", handle.port, pool_size=clients)
+        try:
+            book_id = db.info()["book_ids"][0]
+            with db.session("locate") as session:
+                book = session.run(session.nodes.get_element_by_id(book_id))
+                history = session.run(session.nodes.get_last_child(book))
+                lends_before = len(
+                    session.run(session.nodes.get_child_nodes(history))
+                )
+            committed_before = handle.server.slo.committed
+            outcomes = {"committed": 0, "aborted": 0}
+            errors = []
+            tally = threading.Lock()
+
+            def client(index):
+                for k in range(per_client):
+                    outcome = "committed"
+                    try:
+                        with db.session(f"append-{index}-{k}") as session:
+                            book = session.run(
+                                session.nodes.get_element_by_id(book_id)
+                            )
+                            target = session.run(
+                                session.nodes.get_last_child(book)
+                            )
+                            session.run(session.nodes.insert_tree(
+                                target, ("lend", {"person": f"p{index}"}, [])
+                            ))
+                    except TransactionAborted:
+                        outcome = "aborted"
+                    except BaseException as exc:  # surfaced below
+                        errors.append(exc)
+                        return
+                    with tally:
+                        outcomes[outcome] += 1
+
+            threads = [threading.Thread(target=client, args=(i,))
+                       for i in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+
+            committed = outcomes["committed"]
+            assert committed + outcomes["aborted"] == clients * per_client
+            assert handle.server.slo.committed - committed_before == committed
+            with db.session("count") as session:
+                lends_after = len(
+                    session.run(session.nodes.get_child_nodes(history))
+                )
+            assert lends_after - lends_before == committed
+            assert db.stats()["active_txns"] == 0
+        finally:
+            db.close()
             handle.shutdown()

@@ -21,7 +21,7 @@ from .conftest import make_server
 @pytest.fixture(scope="module")
 def fast_server():
     """A server ticking telemetry windows every 50 ms."""
-    handle = make_server(telemetry_window_ms=50.0, telemetry_capacity=16)
+    handle = make_server(telemetry_window_ms=50.0)
     yield handle
     handle.shutdown()
 

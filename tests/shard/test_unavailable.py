@@ -16,6 +16,7 @@ from repro.errors import ReproError, ShardUnavailableError, TransientError
 from repro.net import wire
 from repro.shard import build_sharded_cluster, messages
 from repro.shard.chaosrun import run_shard_chaos
+from repro.shard.router import FAILURE_THRESHOLD
 
 
 class TestTaxonomy:
@@ -64,7 +65,7 @@ class TestRouterPartitionAwareness:
 
         # Each failed request is noted; at the threshold the shard is
         # marked DOWN with a scheduled probe point.
-        for _ in range(router.failure_threshold):
+        for _ in range(FAILURE_THRESHOLD):
             with pytest.raises(ShardUnavailableError):
                 router._request(0, messages.encode_ping(0.0))
         health = router._health[0]
@@ -89,7 +90,7 @@ class TestRouterPartitionAwareness:
     def test_failed_probe_backs_off_and_stays_down(self, cluster):
         router = cluster.database.router
         cluster.transport.kill(1)
-        for _ in range(router.failure_threshold):
+        for _ in range(FAILURE_THRESHOLD):
             with pytest.raises(ShardUnavailableError):
                 router._request(1, messages.encode_ping(0.0))
         health = router._health[1]
