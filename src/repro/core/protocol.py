@@ -74,9 +74,16 @@ class Access(Enum):
     JUMP = "jump"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MetaRequest:
-    """One abstract lock request from the node manager."""
+    """One abstract lock request from the node manager.
+
+    A protocol's plan depends on the request only through its *shape*
+    (op, access, role, whether there is an id value, the target's level,
+    and the numbers of children and affected nodes); the labels and the
+    id value only fill in the lock keys.  The lock manager relies on this
+    to compile one plan template per shape.
+    """
 
     op: MetaOp
     target: Splid
@@ -92,31 +99,6 @@ class MetaRequest:
     #: For direct jumps: the ID value used (IDR/IDX locks are keyed by
     #: value so they survive index-entry removal).
     id_value: Optional[str] = None
-
-    # Hand-rolled equality/hash (same semantics as the dataclass pair):
-    # requests key the lock manager's plan cache, so this runs on every
-    # acquire.  Enum members compare by identity and the optional fields
-    # are usually defaults, so the explicit short-circuit chain beats
-    # building and comparing two 7-tuples.
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not MetaRequest:
-            return NotImplemented
-        return (self.op is other.op
-                and self.access is other.access
-                and self.role is other.role
-                and self.id_value == other.id_value
-                and self.target == other.target
-                and self.children == other.children
-                and self.affected == other.affected)
-
-    def __hash__(self) -> int:
-        # Intentionally coarse: op + target discriminate almost every
-        # request in practice, and equal requests always share them.
-        # The remaining fields are resolved by __eq__ on the rare
-        # bucket collision.
-        return hash((self.op, self.target))
 
     @property
     def is_read(self) -> bool:

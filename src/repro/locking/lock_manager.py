@@ -31,7 +31,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 from repro.core.modes import WRITE_PRIVILEGES
 from repro.core.protocol import (
     EDGE_SPACE,
-    LockPlan,
     LockProtocol,
     LockStep,
     MetaRequest,
@@ -122,14 +121,15 @@ class _TxnLockState:
 class _PreparedPlan:
     """A lock plan resolved for the batched fast path.
 
-    ``steps`` holds per-step (step, mode table, mode index, resource
-    key) tuples.  ``prefix_key``/``prefix_len`` describe the plan's
-    leading root-down ancestor chain when it is eligible for the
-    per-transaction prefix memo (all NODE_SPACE, strict parent-child
-    chain, every requested mode monotone under the table's conversion
-    lattice -- :attr:`ModeTable.chain_mono_mask`).  Sibling requests
-    share the same ancestor chain, so the key is derived from the
-    deepest chain resource plus the chain's mode indices.
+    ``steps`` holds per-step (resource key, mode table, mode index)
+    tuples; the step's space and key are the resource's two halves and
+    its mode is ``table.modes[index]``.  ``prefix_key``/``prefix_len``
+    describe the plan's leading root-down ancestor chain when it is
+    eligible for the per-transaction prefix memo (all NODE_SPACE, strict
+    parent-child chain, every requested mode monotone under the table's
+    conversion lattice -- :attr:`ModeTable.chain_mono_mask`).  Sibling
+    requests share the same ancestor chain, so the key is derived from
+    the deepest chain resource plus the chain's mode indices.
     """
 
     __slots__ = ("steps", "prefix_len", "prefix_key")
@@ -140,10 +140,23 @@ class _PreparedPlan:
         self.prefix_key = prefix_key
 
 
-#: Bound on the per-manager plan cache (complete lock plans keyed by
-#: meta request; FIFO-evicted in insertion order).
-PLAN_CACHE_CAPACITY = 8_192
-_PLAN_EVICT_BATCH = 512
+@dataclass(frozen=True, slots=True)
+class _PlanTemplate:
+    """The lock plan of one request shape (see LockManager._plan_for).
+
+    ``steps`` holds per-step (space, slot, edge role, mode table, mode
+    index); the key is the slot's entry in LockManager._slot_values,
+    paired with the role for an edge lock.  A template holds no SPLID,
+    so it pins nothing in the intern table.
+    """
+
+    steps: List[tuple]
+    prefix_len: int
+    prefix_midx: Optional[Tuple[int, ...]]
+    traverse_individually: bool
+    #: The plan scans the target's subtree for IDs (*-2PL deletes).
+    scan_ids: bool
+    uses_string_node: bool
 
 
 class LockManager:
@@ -158,6 +171,8 @@ class LockManager:
         active_transactions: Optional[Callable[[], int]] = None,
         obs: Optional[Observability] = None,
     ):
+        if lock_depth < 0:
+            raise LockError(f"lock depth must be >= 0, got {lock_depth}")
         self.protocol = protocol
         self.lock_depth = lock_depth
         self.wait_timeout_ms = wait_timeout_ms
@@ -184,24 +199,9 @@ class LockManager:
         self.wait_histogram = self.obs.metrics.histogram("lock.wait_ms")
         self.obs.metrics.register_collector(self._collect_metrics)
         self._states: Dict[object, _TxnLockState] = {}
-        #: Plans are pure functions of (request, lock_depth) for a fixed
-        #: protocol, and MetaRequest is frozen/hashable -- so identical
-        #: requests (re-reads of the same node, repeated traversal steps)
-        #: reuse the derived plan instead of re-running protocol.plan().
-        #: The cache lives on the *protocol instance*, one dict per
-        #: lock_depth so requests key it directly: fresh managers over
-        #: the same protocol (sweep cells, benchmark rounds) start warm.
-        caches = getattr(protocol, "_plan_caches", None)
-        if caches is None:
-            caches = {}
-            try:
-                protocol._plan_caches = caches
-            except AttributeError:
-                pass  # unwritable protocol object: fall back to per-manager
-        cache = caches.get(lock_depth)
-        if cache is None:
-            cache = caches[lock_depth] = {}
-        self._plan_cache: Dict[MetaRequest, tuple] = cache
+        #: Request shape -> compiled plan template (see _plan_for).  The
+        #: shapes are few (tens per protocol), so this never needs bounding.
+        self._templates: Dict[tuple, _PlanTemplate] = {}
         self._active_transactions = active_transactions or (lambda: 0)
         #: Clock for wait-time accounting (bound by Database.set_clock).
         self.clock: Callable[[], float] = lambda: 0.0
@@ -261,25 +261,16 @@ class LockManager:
         """
         report = AcquireReport()
         isolation = getattr(txn, "isolation", IsolationLevel.REPEATABLE)
-        plan, prepared = self._plan_for(request)
-        if plan.traverse_individually:
+        template, prepared = self._plan_for(request)
+        if template.traverse_individually:
             report.traverse_individually = True
-        if plan.scan_ids is not None:
-            report.scan_ids = plan.scan_ids
+        if template.scan_ids:
+            report.scan_ids = request.target
         if isolation is IsolationLevel.NONE:
             return report
         if isolation is IsolationLevel.UNCOMMITTED and request.is_read:
             return report
-
-        if self._tracing:
-            for step in plan.steps:
-                yield from self._acquire_step(txn, step, report)
-        else:
-            pos = self._batch_fast(txn, prepared, report, 0)
-            while pos >= 0:
-                yield from self._request_and_wait(txn, prepared.steps[pos][0],
-                                                 report)
-                pos = self._batch_fast(txn, prepared, report, pos + 1)
+        yield from self._execute(txn, prepared, report)
         return report
 
     def acquire_children(
@@ -288,33 +279,33 @@ class LockManager:
         """Generator: execute a conversion fan-out (CX_NR-style)."""
         report = AcquireReport()
         steps = [LockStep(NODE_SPACE, child, child_mode) for child in children]
-        if self._tracing:
-            for step in steps:
-                yield from self._acquire_step(txn, step, report)
-        else:
-            prepared = self._prepare_steps(steps)
-            pos = self._batch_fast(txn, prepared, report, 0)
-            while pos >= 0:
-                yield from self._request_and_wait(txn, prepared.steps[pos][0],
-                                                 report)
-                pos = self._batch_fast(txn, prepared, report, pos + 1)
+        yield from self._execute(txn, self._prepare_steps(steps), report)
         return report
 
     def acquire_steps(self, txn: object, steps: Iterable[LockStep]):
         """Generator: execute explicit lock steps (e.g. the *-2PL group's
         IDX locks collected by a pre-delete subtree scan)."""
         report = AcquireReport()
-        if self._tracing:
-            for step in steps:
-                yield from self._acquire_step(txn, step, report)
-        else:
-            prepared = self._prepare_steps(steps)
-            pos = self._batch_fast(txn, prepared, report, 0)
-            while pos >= 0:
-                yield from self._request_and_wait(txn, prepared.steps[pos][0],
-                                                 report)
-                pos = self._batch_fast(txn, prepared, report, pos + 1)
+        yield from self._execute(txn, self._prepare_steps(steps), report)
         return report
+
+    def _execute(self, txn: object, pp: _PreparedPlan, report: AcquireReport):
+        """Generator: run prepared steps -- per step with events when
+        tracing, else in batched lock-table passes."""
+        steps = pp.steps
+        if self._tracing:
+            for resource, table, midx in steps:
+                yield from self._acquire_step(
+                    txn, LockStep(resource[0], resource[1], table.modes[midx]),
+                    report)
+            return
+        pos = self._batch_fast(txn, pp, report, 0)
+        while pos >= 0:
+            resource, table, midx = steps[pos]
+            yield from self._request_and_wait(
+                txn, LockStep(resource[0], resource[1], table.modes[midx]),
+                report)
+            pos = self._batch_fast(txn, pp, report, pos + 1)
 
     def _batch_fast(self, txn: object, pp: _PreparedPlan,
                     report: AcquireReport, start: int) -> int:
@@ -369,7 +360,7 @@ class LockManager:
         fresh = 0
         try:
             for pos in range(start, len(prepared)):
-                step, table, midx, resource = prepared[pos]
+                resource, table, midx = prepared[pos]
                 # Transaction-local lock cache + coverage-cache anchors.
                 entry = entries_get(resource)
                 held_idx = -1
@@ -390,7 +381,7 @@ class LockManager:
                         if pos < prefix_len:
                             memo_store = False
                         continue
-                    if anchor_covered(state, step, table, midx):
+                    if anchor_covered(state, resource, table, midx):
                         state.covered_memo.add(memo_key)
                         report.skipped_covered += 1
                         if pos < prefix_len:
@@ -400,7 +391,8 @@ class LockManager:
                 if hook is not None:
                     # May raise LockTimeout/DeadlockAbort; before the table
                     # request so aborted steps leave no dangling lock.
-                    hook(txn, step)
+                    hook(txn, LockStep(resource[0], resource[1],
+                                       table.modes[midx]))
                 if entry is None:
                     # Inlined grant_fast entry-miss path: an uncontended
                     # fresh grant of exactly the requested mode.  Stats
@@ -415,14 +407,14 @@ class LockManager:
                     held_set.add(resource)
                     fresh += 1
                     granted_mode = table.modes[midx]
-                    usage_key = (step.space, granted_mode)
+                    usage_key = (resource[0], granted_mode)
                     mode_usage[usage_key] = mode_usage.get(usage_key, 0) + 1
                     # A fresh grant of an anchor-less mode (intention and
                     # plain node locks) has no coverage-cache effect: the
                     # key cannot appear in any anchor set, so the
                     # add/discard bookkeeping is a no-op and is skipped.
                     if table.anchor_any_idx[midx]:
-                        note_grant(txn, step.space, step.key, granted_mode)
+                        note_grant(txn, resource[0], resource[1], granted_mode)
                     continue
                 code = grant_fast(txn, resource, midx, table, entry=entry)
                 if code < 0:
@@ -431,17 +423,17 @@ class LockManager:
                     return pos
                 gidx = code & 0xFF
                 granted_mode = table.modes[gidx]
-                usage_key = (step.space, granted_mode)
+                usage_key = (resource[0], granted_mode)
                 mode_usage[usage_key] = mode_usage.get(usage_key, 0) + 1
                 child_idx = (code >> 8) - 1
                 if child_idx >= 0:
-                    key = step.key
+                    key = resource[1]
                     fanouts.append((key if isinstance(key, Splid) else key[0],
                                     table.modes[child_idx]))
                 # Conversions (held_idx >= 0) may drop anchors of the old
                 # mode, so they always refresh the coverage cache.
                 if held_idx >= 0 or table.anchor_any_idx[gidx]:
-                    note_grant(txn, step.space, step.key, granted_mode)
+                    note_grant(txn, resource[0], resource[1], granted_mode)
         finally:
             if fresh:
                 lock_table.requests += fresh
@@ -562,27 +554,89 @@ class LockManager:
 
     # -- internals --------------------------------------------------------------------
 
-    def _plan_for(self, request: MetaRequest) -> Tuple[LockPlan, list]:
-        """Cached protocol.plan(), prepared for the batched fast path.
+    def _plan_for(self, request: MetaRequest) -> Tuple[_PlanTemplate, _PreparedPlan]:
+        """The request's plan, instantiated from its shape's template.
 
-        The plan is derived once per distinct (request, lock_depth) pair
-        and treated as read-only thereafter.  Alongside it the cache
-        stores the *prepared* step list -- per step the resolved mode
-        table, dense mode index, and resource key -- so the hot loop
-        never touches the string-keyed table/mode registries.
+        A protocol's plan depends on a request only through its *shape*:
+        op, access, edge role, whether an id value is given, the target's
+        level (against the manager's fixed lock depth), and the numbers of
+        children and affected nodes.  So a plan is compiled once per shape
+        (:meth:`_compile`) and instantiated here by filling each slot from
+        the request -- no planning per request, and no cached plan per
+        request for the garbage collector to walk.
         """
-        cached = self._plan_cache.get(request)
-        if cached is None:
-            plan = self.protocol.plan(request, self.lock_depth)
-            cached = (plan, self._prepare_steps(plan.steps))
-            if len(self._plan_cache) >= PLAN_CACHE_CAPACITY:
-                for stale in list(self._plan_cache)[:_PLAN_EVICT_BATCH]:
-                    del self._plan_cache[stale]
-            self._plan_cache[request] = cached
-        return cached
+        target = request.target
+        shape = (request.op, request.access, request.role,
+                 request.id_value is None, target.level,
+                 len(request.children), len(request.affected))
+        template = self._templates.get(shape)
+        if template is None:
+            template = self._templates[shape] = self._compile(request)
+        string_node = target.string_node if template.uses_string_node else None
+        values = self._slot_values(request, string_node)
+        steps = [
+            ((space, values[slot] if role is None else (values[slot], role)),
+             table, midx)
+            for space, slot, role, table, midx in template.steps
+        ]
+        prefix_len = template.prefix_len
+        prefix_key = (steps[prefix_len - 1][0], template.prefix_midx) if prefix_len else None
+        return template, _PreparedPlan(steps, prefix_len, prefix_key)
+
+    @staticmethod
+    def _slot_values(request: MetaRequest, string_node: Optional[Splid]) -> tuple:
+        """Every key a plan may use, indexed by slot: the target, its
+        string node, the id value, the children, the affected nodes, then
+        the ancestors from the parent up to the root."""
+        target = request.target
+        return (target, string_node, request.id_value, *request.children,
+                *request.affected, *target.ancestors_bottom_up())
+
+    def _compile(self, request: MetaRequest) -> _PlanTemplate:
+        """Plan a canonical request of ``request``'s shape, keys -> slots.
+
+        The canonical request gives every slot a distinct value (children
+        are children of the target; the affected nodes hang off the
+        target's path), so each plan key names exactly one slot.  A real
+        request need not: its affected nodes include the target's parent.
+        """
+        target = Splid((1,) + (3,) * request.target.level)
+        off_path = Splid((1, 9))
+        canonical = MetaRequest(
+            request.op, target, request.access, request.role,
+            children=tuple(target.child(3 + 2 * j)
+                           for j in range(len(request.children))),
+            affected=tuple(off_path.child(3 + 2 * j)
+                           for j in range(len(request.affected))),
+            id_value=None if request.id_value is None else "id",
+        )
+        plan = self.protocol.plan(canonical, self.lock_depth)
+        prepared = self._prepare_steps(plan.steps)
+        slot_of = {value: slot for slot, value in enumerate(
+            self._slot_values(canonical, target.string_node))}
+        steps = []
+        for (space, key), table, midx in prepared.steps:
+            role = None
+            if isinstance(key, tuple):
+                key, role = key
+            slot = slot_of.get(key)
+            if slot is None:
+                raise LockError(f"{self.protocol.name} plans a lock on {key}, "
+                                f"which is not derived from the request")
+            steps.append((space, slot, role, table, midx))
+        if plan.scan_ids not in (None, target):
+            raise LockError(f"{self.protocol.name} scans IDs below "
+                            f"{plan.scan_ids}, not below the target")
+        prefix_len = prepared.prefix_len
+        string_slot = slot_of[target.string_node]
+        return _PlanTemplate(
+            steps, prefix_len, prepared.prefix_key[1] if prefix_len else None,
+            plan.traverse_individually, plan.scan_ids is not None,
+            any(step[1] == string_slot for step in steps),
+        )
 
     def _prepare_steps(self, steps: Iterable[LockStep]) -> _PreparedPlan:
-        """Resolve (table, mode index, resource key) once per step."""
+        """Resolve (resource key, table, mode index) once per step."""
         prepared = []
         for step in steps:
             table = self._space_tables.get(step.space)
@@ -591,16 +645,16 @@ class LockManager:
             midx = table.mode_index.get(step.mode)
             if midx is None:
                 raise LockError(f"mode {step.mode} not in table {table.name}")
-            prepared.append((step, table, midx, (step.space, step.key)))
+            prepared.append(((step.space, step.key), table, midx))
         # Maximal memo-eligible prefix: NODE_SPACE steps forming a strict
         # root-down parent chain, every mode monotone under conversions.
         prefix_len = 0
-        for i, (step, table, midx, _resource) in enumerate(prepared):
-            if (step.space != NODE_SPACE
-                    or not isinstance(step.key, Splid)
+        for i, ((space, key), table, midx) in enumerate(prepared):
+            if (space != NODE_SPACE
+                    or not isinstance(key, Splid)
                     or not (table.chain_mono_mask >> midx) & 1):
                 break
-            if i > 0 and step.key.parent != prepared[i - 1][0].key:
+            if i > 0 and key.parent != prepared[i - 1][0][1]:
                 break
             prefix_len = i + 1
         # The final step is the request's own target -- unique per plan,
@@ -608,7 +662,7 @@ class LockManager:
         # sibling requests.  The memo covers the ancestor chain only.
         prefix_len = min(prefix_len, len(prepared) - 1)
         if prefix_len >= 2:
-            prefix_key = (prepared[prefix_len - 1][3],
+            prefix_key = (prepared[prefix_len - 1][0],
                           tuple(item[2] for item in prepared[:prefix_len]))
         else:
             prefix_len = 0
@@ -781,7 +835,8 @@ class LockManager:
 
     def _is_covered(self, txn: object, step: LockStep) -> bool:
         table = self.table.table_for(step.space)
-        held_idx = self.table.held_index(txn, (step.space, step.key))
+        resource = (step.space, step.key)
+        held_idx = self.table.held_index(txn, resource)
         midx = table.mode_index.get(step.mode)
         if midx is None:
             raise LockError(f"mode {step.mode} not in table {table.name}")
@@ -792,18 +847,18 @@ class LockManager:
         state = self._states.get(txn)
         if state is None:
             return False
-        return self._anchor_covered(state, step, table, midx)
+        return self._anchor_covered(state, resource, table, midx)
 
-    def _anchor_covered(self, state: _TxnLockState, step: LockStep,
+    def _anchor_covered(self, state: _TxnLockState, resource: tuple,
                         table, midx: int) -> bool:
-        """Is the step covered by a subtree/level anchor in ``state``?"""
-        key = step.key
-        if step.space == NODE_SPACE:
+        """Is the (space, key) resource covered by a subtree/level anchor?"""
+        space, key = resource
+        if space == NODE_SPACE:
             if not isinstance(key, Splid):
                 return False
             node: Splid = key
             edge_parent = None
-        elif step.space == EDGE_SPACE:
+        elif space == EDGE_SPACE:
             node = key[0]
             edge_parent = node.parent
         else:

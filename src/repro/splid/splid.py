@@ -251,15 +251,16 @@ class Splid:
     def ancestor_at_level(self, level: int) -> "Splid":
         """The ancestor-or-self label at the given tree level.
 
-        Raises :class:`SplidError` if this node is above ``level``.  Used by
-        the lock-depth mechanism: accesses below lock depth *n* are covered
-        by a subtree lock on the level-*n* ancestor.
+        Raises :class:`SplidError` if this node is above ``level`` or
+        ``level`` is negative.  Used by the lock-depth mechanism: accesses
+        below lock depth *n* are covered by a subtree lock on the level-*n*
+        ancestor.
 
         Each parent step removes exactly one odd division, so the cached
         ancestor chain is indexed directly: O(1) once the chain exists.
         """
         own = self.level
-        if level > own:
+        if not 0 <= level <= own:
             raise SplidError(
                 f"{self} is at level {own}, cannot take ancestor at {level}"
             )

@@ -9,11 +9,13 @@ from repro.core import (
     NODE_SPACE,
     get_protocol,
 )
-from repro.errors import DeadlockAbort
+from repro.errors import DeadlockAbort, LockError
 from repro.locking import IsolationLevel, LockManager
 from repro.locking.lock_manager import WRITE_PRIVILEGES
 from repro.sched.simulator import run_sync
 from repro.splid import Splid
+from repro.tamix.cluster import CLUSTER1_MIX, make_database
+from repro.tamix.coordinator import TaMixConfig, TaMixCoordinator
 from repro.txn import Transaction
 
 
@@ -209,3 +211,26 @@ class TestDeadlockIntegration:
         assert stats["requests"] > 0
         assert stats["deadlocks"] == 0
         assert stats["timeouts"] == 0
+
+
+class TestConstruction:
+    def test_negative_lock_depth_rejected(self):
+        with pytest.raises(LockError):
+            LockManager(get_protocol("taDOM3+"), lock_depth=-1)
+
+    def test_managers_never_write_to_protocol_objects(self):
+        """Plan templates live on the manager: a protocol object shared by
+        several managers (sweep cells, benchmark units) stays untouched."""
+        protocol = get_protocol("Node2PL")
+        before = dict(vars(protocol))
+        for depth in (0, 4):
+            database, info = make_database(protocol, depth, "repeatable",
+                                           scale=0.05)
+            config = TaMixConfig(protocol="Node2PL", lock_depth=depth,
+                                 isolation="repeatable",
+                                 run_duration_ms=4000.0,
+                                 mix=dict(CLUSTER1_MIX), seed=42)
+            result = TaMixCoordinator(database, info, config).run()
+            assert result.committed > 0
+            assert database.locks.protocol is protocol
+        assert vars(protocol) == before

@@ -220,6 +220,10 @@ class TestParentAndAncestors:
         with pytest.raises(SplidError):
             Splid.parse("1.3").ancestor_at_level(5)
 
+    def test_ancestor_at_level_negative(self):
+        with pytest.raises(SplidError):
+            Splid.parse("1.3.5").ancestor_at_level(-1)
+
     def test_is_ancestor_of(self):
         assert Splid.parse("1.3").is_ancestor_of(Splid.parse("1.3.4.3"))
         assert not Splid.parse("1.3").is_ancestor_of(Splid.parse("1.3"))
