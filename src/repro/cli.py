@@ -869,12 +869,12 @@ def _cmd_loadgen(args) -> int:
         print("--connect and --sim are mutually exclusive", file=sys.stderr)
         return 2
     if args.connect:
-        host, _sep, port = args.connect.rpartition(":")
-        if not host or not port.isdigit():
+        target = _parse_connect(args.connect)
+        if target is None:
             print(f"bad --connect {args.connect!r} (want HOST:PORT)",
                   file=sys.stderr)
             return 2
-        mode, host, port = "live", host, int(port)
+        mode, (host, port) = "live", target
     else:
         mode, host, port = "sim", "127.0.0.1", 7420
     config = LoadGenConfig(

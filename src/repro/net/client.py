@@ -46,7 +46,6 @@ from repro.errors import (
     ConnectionLostError,
     ProtocolError,
     ReproError,
-    TransactionAborted,
     TransactionError,
 )
 from repro.net import wire
@@ -137,6 +136,22 @@ class WireConnection:
             self._recv_offset = end
         return data
 
+    def _read_frame(self) -> bytes:
+        """The next whole frame.
+
+        EOF before its first byte is the peer hanging up between frames
+        (a ``ConnectionError``, typed transient by the callers); EOF
+        inside it is a torn frame (:class:`ProtocolError`).
+        """
+        if self._recv_offset == len(self._recv_buffer):
+            chunk = self._sock.recv(65536)
+            if not chunk:
+                raise ConnectionError("peer closed the connection")
+            self._recv_buffer += chunk
+        header = self._read_exactly(4)
+        length, _total = wire.split_frame(header)
+        return header + self._read_exactly(length)
+
     def request(self, opcode: int, *fields: Any) -> Tuple[int, Tuple]:
         """One request frame -> the reply frame; raises decoded errors.
 
@@ -148,10 +163,8 @@ class WireConnection:
             raise ProtocolError("connection is closed")
         try:
             self._sock.sendall(wire.encode_frame(opcode, *fields))
-            header = self._read_exactly(4)
-            length, _total = wire.split_frame(header)
-            payload = self._read_exactly(length)
-        except (ConnectionResetError, BrokenPipeError) as exc:
+            frame = self._read_frame()
+        except ConnectionError as exc:
             # The peer hung up mid-call (server restart, dropped link):
             # transient, unlike a protocol violation.  Closing here makes
             # the pool evict the connection on release, so the next
@@ -164,7 +177,7 @@ class WireConnection:
             self.close()
             raise
         try:
-            reply_op, body = wire.decode_frame(header + payload)
+            reply_op, body = wire.decode_frame(frame)
         except ProtocolError:
             self.close()
             raise
@@ -194,16 +207,13 @@ class WireConnection:
         try:
             self._sock.sendall(wire.encode_frame(opcode, *fields))
             while True:
-                header = self._read_exactly(4)
-                length, _total = wire.split_frame(header)
-                payload = self._read_exactly(length)
-                reply_op, body = wire.decode_frame(header + payload)
+                reply_op, body = wire.decode_frame(self._read_frame())
                 if reply_op == wire.OP_ERROR:
                     raise wire.decode_error(body)
                 if reply_op == wire.OP_DONE:
                     return body
                 yield body[0]
-        except (ConnectionResetError, BrokenPipeError) as exc:
+        except ConnectionError as exc:
             self.close()
             raise ConnectionLostError(
                 f"connection to {self.host}:{self.port} lost mid-stream: "
@@ -250,8 +260,6 @@ class ClientPool:
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
         self.closed = False
-        #: Connections dialed over the pool's lifetime.
-        self.dials = 0
 
     @property
     def live(self) -> int:
@@ -285,7 +293,6 @@ class ClientPool:
                 self._live -= 1
                 self._available.notify()
             raise
-        self.dials += 1
         return conn
 
     def release(self, conn: WireConnection) -> None:
@@ -465,15 +472,10 @@ class RemoteSession:
             frame = frame + (str(trace),)
         try:
             _op, body = self._conn.request(*frame)
-        except (TransactionAborted, ProtocolError):
-            # Server already rolled back (typed abort), or the link is
-            # gone -- either way this transaction is over.
-            self._finished = True
-            self._surrender()
-            raise
         except ReproError:
             # The server aborts the transaction on *any* failed
-            # operation (see LockServer._work_failed).
+            # operation (see RequestHandler._work_failed), and a lost
+            # link ends it too.
             self._finished = True
             self._surrender()
             raise
@@ -532,7 +534,9 @@ class RemoteDatabase:
                 _op, body = conn.request(wire.OP_BEGIN, name, isolation)
                 return int(body[0])
             except AdmissionRejected:
-                self.rejected_begins += 1
+                # Sessions on many threads share this counter.
+                with self._pool._lock:
+                    self.rejected_begins += 1
                 if self.retry is None or not self.retry.allows_restart(
                     attempt
                 ):

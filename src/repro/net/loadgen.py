@@ -15,9 +15,11 @@ choice actually matters.
 
 Two executors drive the same client-slot generators:
 
-* **live** -- asyncio over TCP, one task per client, wire frames over a
-  capped connection pool (a thousand clients share ~64 sockets; pool
-  queueing counts into open-loop latency).
+* **live** -- one thread per client over TCP, through the public client
+  (:class:`~repro.net.client.RemoteDatabase`): each transaction is one
+  :class:`~repro.net.client.RemoteSession` leased from a capped
+  connection pool (a thousand clients share ~64 sockets; pool queueing
+  counts into open-loop latency).
 * **sim** -- the discrete-event :class:`~repro.sched.simulator
   .Simulator` driving the server's own
   :class:`~repro.net.server.RequestHandler` in-process: every request
@@ -28,18 +30,18 @@ Client slots yield :class:`Think`/:class:`Begin`/:class:`Op`/
 :class:`Qry`/:class:`Commit` effects; the executor owns transport,
 transaction handles, and the clock.  Transient failures (deadlock
 victim, lock timeout, admission shed) are retried client-side through
-the PR 5 :class:`~repro.chaos.retry.RetryPolicy`; the report counts
+a :class:`~repro.chaos.retry.RetryPolicy`; the report counts
 retries, sheds, and give-ups per transaction type next to the
 p50/p99/p999 latency SLOs.
 """
 
 from __future__ import annotations
 
-import asyncio
 import bisect
 import json
 import random
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -47,13 +49,13 @@ from repro.chaos.retry import AdmissionPolicy, RetryPolicy
 from repro.database import Database
 from repro.errors import (
     AdmissionRejected,
-    ConnectionLostError,
     ProtocolError,
     ReproError,
     TransactionAborted,
     TransientError,
 )
 from repro.net import wire
+from repro.net.client import RemoteDatabase, RemoteSession
 from repro.net.server import RequestHandler, ServerConfig
 from repro.sched.simulator import Delay, Simulator
 from repro.tamix.bibgen import load_bib
@@ -188,11 +190,12 @@ class ZipfSampler:
 # -- statistics ---------------------------------------------------------------
 
 
+#: The per-type counters, in report order.
+_COUNTS = ("issued", "committed", "aborted", "retries", "sheds", "gave_up")
+
+
 class _TypeStats:
-    __slots__ = (
-        "issued", "committed", "aborted", "retries", "sheds", "gave_up",
-        "latencies",
-    )
+    __slots__ = _COUNTS + ("latencies",)
 
     def __init__(self):
         self.issued = 0
@@ -216,6 +219,15 @@ class LoadStats:
         if stats is None:
             stats = self.by_type[txn_type] = _TypeStats()
         return stats
+
+    def merge(self, other: "LoadStats") -> None:
+        """Add ``other``'s counters and latencies to this one's."""
+        self.protocol_errors += other.protocol_errors
+        for txn_type, theirs in other.by_type.items():
+            ours = self.of(txn_type)
+            for key in _COUNTS:
+                setattr(ours, key, getattr(ours, key) + getattr(theirs, key))
+            ours.latencies.extend(theirs.latencies)
 
 
 # -- client-side transaction programs ----------------------------------------
@@ -386,8 +398,12 @@ def client_slot(cfg: LoadGenConfig, ctx: ProgramContext, picker: _MixPicker,
             return mean_ia
         return rng.expovariate(1.0 / mean_ia)
 
-    # Desynchronize client phases across the first arrival period.
-    now = yield Think(rng.uniform(0.0, mean_ia))
+    # Desynchronize client phases across the first arrival period; a
+    # client whose first arrival misses the deadline issues nothing.
+    first = rng.uniform(0.0, mean_ia)
+    if first >= deadline_ms:
+        return
+    now = yield Think(first)
     next_arrival = now + interarrival()
     while next_arrival < deadline_ms:
         if now < next_arrival:
@@ -444,9 +460,8 @@ def client_slot(cfg: LoadGenConfig, ctx: ProgramContext, picker: _MixPicker,
 
 
 class _Session:
-    """One client's open transaction, as both executors see it: which
-    request frame an effect stands for, and what its reply resumes the
-    slot with."""
+    """One simulated client's open transaction: which request frame an
+    effect stands for, and what its reply resumes the slot with."""
 
     __slots__ = ("isolation", "txn_id")
 
@@ -489,19 +504,14 @@ def _sim_process(slot, handler: RequestHandler, sim: Simulator,
     """
     conn = handler.connect()
     session = _Session(isolation)
-    value: Any = None
-    error: Optional[BaseException] = None
+    resume, value = slot.send, None
     try:
         while True:
             try:
-                if error is not None:
-                    pending, error = error, None
-                    effect = slot.throw(pending)
-                else:
-                    effect = slot.send(value)
+                effect = resume(value)
             except StopIteration:
                 return
-            value = None
+            resume, value = slot.send, None
             try:
                 if isinstance(effect, Think):
                     if effect.ms > 0.0:
@@ -522,7 +532,7 @@ def _sim_process(slot, handler: RequestHandler, sim: Simulator,
                 # The server aborts the transaction on any failed
                 # operation.
                 session.txn_id = None
-                error = exc
+                resume, value = slot.throw, exc
     finally:
         handler.abandon(conn)
 
@@ -581,216 +591,115 @@ def run_sim(cfg: LoadGenConfig) -> Dict[str, Any]:
 # -- live executor ------------------------------------------------------------
 
 
-class _AsyncWire:
-    """One asyncio wire connection (handshake done on dial)."""
-
-    __slots__ = ("_reader", "_writer", "closed", "server_info")
-
-    @classmethod
-    async def dial(cls, host: str, port: int,
-                   client_name: str) -> "_AsyncWire":
-        conn = cls()
-        conn._reader, conn._writer = await asyncio.open_connection(host, port)
-        conn.closed = False
-        # No caller ever sees a failed handshake's socket: close it here.
-        try:
-            opcode, body = await conn.request(
-                wire.OP_HELLO, wire.WIRE_VERSION, client_name
-            )
-            if opcode != wire.OP_WELCOME:
-                raise ProtocolError(f"expected WELCOME, got {hex(opcode)}")
-            conn.server_info = body[1]
-        except BaseException:
-            conn.close()
-            raise
-        return conn
-
-    async def request(self, opcode: int, *fields: Any) -> Tuple[int, Tuple]:
-        if self.closed:
-            raise ProtocolError("connection is closed")
-        try:
-            self._writer.write(wire.encode_frame(opcode, *fields))
-            await self._writer.drain()
-            header = await self._reader.readexactly(4)
-            length, _total = wire.split_frame(header)
-            payload = await self._reader.readexactly(length)
-        except (OSError, asyncio.IncompleteReadError) as exc:
-            # Reset or EOF (server restart): transient, retry on a new dial.
-            self.close()
-            raise ConnectionLostError(
-                f"connection lost mid-call: {exc}"
-            ) from exc
-        try:
-            reply_op, body = wire.decode_frame(header + payload)
-        except ProtocolError:
-            self.close()
-            raise
-        if reply_op == wire.OP_ERROR:
-            raise wire.decode_error(body)
-        return reply_op, body
-
-    def close(self) -> None:
-        if not self.closed:
-            self.closed = True
-            try:
-                self._writer.close()
-            except Exception:
-                pass
+def _end_session(session: RemoteSession) -> None:
+    """Roll ``session`` back unless it is already over; either way its
+    connection goes back to the pool (a dead one is discarded)."""
+    try:
+        session.abort()
+    except ReproError:
+        pass  # already finished, or the link is gone
 
 
-class _AsyncPool:
-    """Caps live sockets; acquisition waits count into open-loop latency."""
+def _live_slot(slot, db: RemoteDatabase, t0: float,
+               isolation: Optional[str]) -> None:
+    """Drive one client slot against the live server, on its own thread.
 
-    def __init__(self, host: str, port: int, size: int, client_name: str):
-        self.host = host
-        self.port = port
-        self.client_name = client_name
-        self._sem = asyncio.Semaphore(size)
-        self._idle: List[_AsyncWire] = []
-
-    async def acquire(self) -> _AsyncWire:
-        await self._sem.acquire()
-        while self._idle:
-            conn = self._idle.pop()
-            if not conn.closed:
-                return conn
-        try:
-            return await _AsyncWire.dial(
-                self.host, self.port, self.client_name
-            )
-        except BaseException:
-            self._sem.release()
-            raise
-
-    def release(self, conn: _AsyncWire) -> None:
-        if conn.closed:
-            pass  # next acquire dials a replacement
-        else:
-            self._idle.append(conn)
-        self._sem.release()
-
-    def close_all(self) -> None:
-        for conn in self._idle:
-            conn.close()
-        self._idle.clear()
-
-
-async def _live_slot(slot, pool: _AsyncPool, t0: float,
-                     isolation: Optional[str]) -> None:
-    """Drive one client slot against the live server."""
-
-    def now_ms() -> float:
-        return (time.monotonic() - t0) * 1000.0
-
-    conn: Optional[_AsyncWire] = None
-    session = _Session(isolation)
-
-    def drop_conn() -> None:
-        nonlocal conn
-        session.txn_id = None
-        if conn is not None:
-            pool.release(conn)
-            conn = None
-
-    value: Any = None
-    error: Optional[BaseException] = None
+    Each transaction is one :class:`~repro.net.client.RemoteSession`:
+    ``Begin`` leases a pooled connection (a wait for a free one counts
+    into open-loop latency) and ``Commit`` or a failed request returns it.
+    """
+    session: Optional[RemoteSession] = None
+    resume, value = slot.send, None
     try:
         while True:
             try:
-                if error is not None:
-                    pending, error = error, None
-                    effect = slot.throw(pending)
-                else:
-                    effect = slot.send(value)
+                effect = resume(value)
             except StopIteration:
                 return
-            value = None
+            result = None
             try:
                 if isinstance(effect, Think):
                     if effect.ms > 0.0:
-                        await asyncio.sleep(effect.ms / 1000.0)
-                    value = now_ms()
-                    continue
-                request = session.request(effect)
-                if conn is None:
-                    try:
-                        conn = await pool.acquire()
-                    except OSError as exc:
-                        raise ProtocolError(f"dial failed: {exc}") from None
-                try:
-                    _op, body = await conn.request(*request)
-                except ReproError:
-                    # The server aborts the transaction on any failed
-                    # operation; the lease goes back.
-                    drop_conn()
-                    raise
-                value = session.resume(effect, body, now_ms())
-                if isinstance(effect, Commit):
-                    drop_conn()
-            except ReproError as exc:
-                error = exc
-    finally:
-        if conn is not None:
-            if session.txn_id is not None:
-                try:
-                    await conn.request(
-                        wire.OP_ABORT, session.txn_id, "rollback"
+                        time.sleep(effect.ms / 1000.0)
+                elif isinstance(effect, Begin):
+                    session = db.session(effect.txn_type, isolation)
+                elif isinstance(effect, Commit):
+                    session, finished = None, session
+                    finished.commit()
+                elif isinstance(effect, Qry):
+                    result = session.run(session.query(effect.path))
+                else:
+                    result = session.run(
+                        getattr(session.nodes, effect.name)(*effect.args)
                     )
-                except Exception:
-                    conn.close()
-            pool.release(conn)
+            except (ReproError, OSError) as exc:
+                if session is not None:
+                    session, failed = None, session
+                    _end_session(failed)
+                # A socket error the client leaves untyped (the socket
+                # timeout) reaches the slot as a protocol error.
+                if not isinstance(exc, ReproError):
+                    exc = ProtocolError(f"{type(exc).__name__}: {exc}")
+                resume, value = slot.throw, exc
+                continue
+            now = (time.monotonic() - t0) * 1000.0
+            resume = slot.send
+            value = (now, result) if isinstance(effect, (Op, Qry)) else now
+    finally:
+        if session is not None:
+            _end_session(session)
 
 
-async def _run_live_async(cfg: LoadGenConfig) -> Dict[str, Any]:
-    pool = _AsyncPool(
-        cfg.host, cfg.port, cfg.resolved_pool_size(), "repro-loadgen"
-    )
-    probe = await pool.acquire()
-    info = probe.server_info
-    pool.release(probe)
-    ctx = _make_context(
-        cfg,
-        info.get("book_ids", ()),
-        info.get("topic_ids", ()),
-        info.get("person_ids", ()),
-    )
-    picker = _MixPicker(cfg.mix)
-    stats = LoadStats()
-    master = random.Random(cfg.seed)
-    t0 = time.monotonic()
-    tasks = []
-    for _index in range(cfg.clients):
-        rng = random.Random(master.randrange(2 ** 62))
-        slot = client_slot(cfg, ctx, picker, stats, rng, cfg.duration_ms)
-        tasks.append(asyncio.ensure_future(
-            _live_slot(slot, pool, t0, cfg.isolation)
-        ))
-    await asyncio.gather(*tasks)
-    duration_ms = (time.monotonic() - t0) * 1000.0
-    server_stats = None
-    server_telemetry = None
-    try:
-        probe = await pool.acquire()
-        _op, body = await probe.request(wire.OP_STATS)
-        server_stats = body[0]
+def run_live(cfg: LoadGenConfig) -> Dict[str, Any]:
+    """Drive the configured load against a live server over TCP.
+
+    One thread per client slot, all leasing from one
+    :class:`~repro.net.client.RemoteDatabase` pool of
+    ``cfg.resolved_pool_size()`` connections.
+    """
+    with RemoteDatabase(
+        cfg.host, cfg.port, pool_size=cfg.resolved_pool_size(),
+        client_name="repro-loadgen",
+    ) as db:
+        info = db.info()
+        ctx = _make_context(
+            cfg,
+            info.get("book_ids", ()),
+            info.get("topic_ids", ()),
+            info.get("person_ids", ()),
+        )
+        picker = _MixPicker(cfg.mix)
+        master = random.Random(cfg.seed)
+        # One LoadStats per slot: no counter is shared across threads.
+        slot_stats = [LoadStats() for _index in range(cfg.clients)]
+        t0 = time.monotonic()
+        with ThreadPoolExecutor(max_workers=cfg.clients) as executor:
+            futures = [
+                executor.submit(
+                    _live_slot,
+                    client_slot(cfg, ctx, picker, stats,
+                                random.Random(master.randrange(2 ** 62)),
+                                cfg.duration_ms),
+                    db, t0, cfg.isolation,
+                )
+                for stats in slot_stats
+            ]
+        for future in futures:
+            future.result()  # a slot that died raises here
+        duration_ms = (time.monotonic() - t0) * 1000.0
+        stats = LoadStats()
+        for one in slot_stats:
+            stats.merge(one)
+        server_stats = server_telemetry = None
         try:
-            _op, body = await probe.request(wire.OP_TELEMETRY)
-            server_telemetry = body[0]
+            server_stats = db.stats()
+            server_telemetry = db.telemetry()
         except ReproError:
             pass  # telemetry disabled server-side: report without it
-        pool.release(probe)
-    except ReproError:
-        pass
-    pool.close_all()
     return build_report(
         cfg, stats, duration_ms,
         server=server_stats, telemetry=server_telemetry,
     )
-
-
-def run_live(cfg: LoadGenConfig) -> Dict[str, Any]:
-    """Drive the configured load against a live server over TCP."""
-    return asyncio.run(_run_live_async(cfg))
 
 
 def run(cfg: LoadGenConfig) -> Dict[str, Any]:
@@ -830,26 +739,14 @@ def build_report(cfg: LoadGenConfig, stats: LoadStats, duration_ms: float,
     """The loadgen report: config echo, per-type SLOs, overload counts."""
     by_type: Dict[str, Any] = {}
     pooled: List[float] = []
-    totals = dict(issued=0, committed=0, aborted=0, retries=0, sheds=0,
-                  gave_up=0)
+    totals = dict.fromkeys(_COUNTS, 0)
     for name in sorted(stats.by_type):
         st = stats.by_type[name]
-        by_type[name] = {
-            "issued": st.issued,
-            "committed": st.committed,
-            "aborted": st.aborted,
-            "retries": st.retries,
-            "sheds": st.sheds,
-            "gave_up": st.gave_up,
-            "latency": latency_slo(st.latencies),
-        }
+        counts = {key: getattr(st, key) for key in _COUNTS}
+        by_type[name] = dict(counts, latency=latency_slo(st.latencies))
         pooled.extend(st.latencies)
-        totals["issued"] += st.issued
-        totals["committed"] += st.committed
-        totals["aborted"] += st.aborted
-        totals["retries"] += st.retries
-        totals["sheds"] += st.sheds
-        totals["gave_up"] += st.gave_up
+        for key in _COUNTS:
+            totals[key] += counts[key]
     report: Dict[str, Any] = {
         "config": {
             "mode": cfg.mode,

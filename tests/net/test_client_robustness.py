@@ -1,6 +1,6 @@
 """Client-side robustness: linear frame reassembly, no leaked sockets
-on a failed handshake (blocking pool and the load generator's asyncio
-pool), typed connection loss, and surfaced (never silent) dropped
+on a failed handshake (the pool and the live load generator on top of
+it), typed connection loss, and surfaced (never silent) dropped
 windows."""
 
 import asyncio
@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+from repro.chaos import RetryPolicy
 from repro.errors import (
     ConnectionLostError,
     ProtocolError,
@@ -17,7 +18,7 @@ from repro.errors import (
 )
 from repro.net import wire
 from repro.net.client import ClientPool, RemoteDatabase, WireConnection
-from repro.net.loadgen import _AsyncPool, _AsyncWire
+from repro.net.loadgen import LoadGenConfig, run_live
 from repro.net.server import TelemetryPlane, _Subscriber
 
 from tests.net.conftest import make_server
@@ -86,6 +87,19 @@ class TestReadExactly:
             ours.close()
 
 
+def _recv_frame(sock):
+    """The next ``(opcode, body)`` a peer sent, or None at EOF."""
+    buffer = b""
+    while True:
+        _length, total = wire.split_frame(buffer)
+        if total > 0 and len(buffer) >= total:
+            return wire.decode_frame(buffer[:total])
+        chunk = sock.recv(65536)
+        if not chunk:
+            return None
+        buffer += chunk
+
+
 class _OneShotServer:
     """Accepts one client, replies to its first frame with a canned
     frame, then reports whether the client closed its end."""
@@ -104,12 +118,7 @@ class _OneShotServer:
         client, _addr = self._sock.accept()
         with client:
             client.settimeout(10)
-            buffer = b""
-            while True:
-                _length, total = wire.split_frame(buffer)
-                if total > 0 and len(buffer) >= total:
-                    break
-                buffer += client.recv(65536)
+            _recv_frame(client)
             client.sendall(self._reply)
             # A closed peer reads as EOF; a leaked socket blocks.
             try:
@@ -129,15 +138,16 @@ def _blocking_pool(port):
     return pool.acquire, lambda: pool.live
 
 
-def _async_pool(port):
-    """``(acquire, live)`` for the load generator's two-slot pool."""
-    pool = _AsyncPool("127.0.0.1", port, 2, "repro-loadgen")
-    return lambda: asyncio.run(pool.acquire()), lambda: 2 - pool._sem._value
+def _loadgen(port):
+    """``(acquire, None)`` for a live load-generator run, whose first
+    dial goes through its own pool (gone once ``run_live`` raises)."""
+    cfg = LoadGenConfig(mode="live", port=port, clients=2, pool_size=2)
+    return (lambda: run_live(cfg)), None
 
 
 class TestHandshakeLeak:
-    """Each failed-handshake case runs against both pools: the blocking
-    ``ClientPool`` and the load generator's ``_AsyncPool``."""
+    """Each failed-handshake case runs against the blocking
+    ``ClientPool`` and against the live load generator built on it."""
 
     def test_refused_dial_leaves_no_live_slot(self):
         probe = socket.socket()
@@ -159,7 +169,7 @@ class TestHandshakeLeak:
         acquire, live = make_pool(server.port)
         with pytest.raises(UnsupportedWireVersion) as raised:
             acquire()
-        assert live() == 0
+        assert live is None or live() == 0
         # ``raised`` keeps the traceback, and with it the dialed
         # connection, alive: only an explicit close lets the peer see EOF.
         assert server.client_closed.wait(10), "handshake failure leaked fd"
@@ -172,7 +182,7 @@ class TestHandshakeLeak:
         acquire, live = make_pool(server.port)
         with pytest.raises(ProtocolError, match="expected WELCOME") as raised:
             acquire()
-        assert live() == 0
+        assert live is None or live() == 0
         assert server.client_closed.wait(10), "handshake failure leaked fd"
         assert raised.value is not None
         server.join()
@@ -180,14 +190,61 @@ class TestHandshakeLeak:
     def test_error_reply_to_hello_closes_socket_and_slot(self):
         self._error_reply_to_hello(_blocking_pool)
 
-    def test_async_error_reply_to_hello_closes_socket_and_slot(self):
-        self._error_reply_to_hello(_async_pool)
+    def test_loadgen_error_reply_to_hello_closes_socket(self):
+        self._error_reply_to_hello(_loadgen)
 
     def test_non_welcome_reply_closes_socket_and_slot(self):
         self._non_welcome_reply(_blocking_pool)
 
-    def test_async_non_welcome_reply_closes_socket_and_slot(self):
-        self._non_welcome_reply(_async_pool)
+    def test_loadgen_non_welcome_reply_closes_socket(self):
+        self._non_welcome_reply(_loadgen)
+
+
+#: The workload handles a bib server advertises, as few as will do.
+_BIB_INFO = {"book_ids": ["b1"], "topic_ids": ["t1"], "person_ids": []}
+
+
+class _HangupServer:
+    """Completes every handshake and answers INFO, then hangs up -- no
+    reply, a clean close -- on any other request."""
+
+    def __init__(self):
+        self._sock = socket.socket()
+        self._sock.bind(("127.0.0.1", 0))
+        self._sock.listen(8)
+        self.port = self._sock.getsockname()[1]
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        while True:
+            try:
+                client, _addr = self._sock.accept()
+            except OSError:
+                return  # closed
+            threading.Thread(
+                target=self._serve, args=(client,), daemon=True
+            ).start()
+
+    def _serve(self, client):
+        with client:
+            client.settimeout(10)
+            while True:
+                request = _recv_frame(client)
+                if request is None:
+                    return
+                opcode, _body = request
+                if opcode == wire.OP_HELLO:
+                    reply = wire.encode_frame(
+                        wire.OP_WELCOME, wire.WIRE_VERSION, _BIB_INFO
+                    )
+                elif opcode == wire.OP_INFO:
+                    reply = wire.encode_frame(wire.OP_RESULT, _BIB_INFO, 0.0)
+                else:
+                    return
+                client.sendall(reply)
+
+    def close(self):
+        self._sock.close()
 
 
 class TestConnectionLost:
@@ -225,23 +282,48 @@ class TestConnectionLost:
         assert pool.live == 0, "dead connection held its pool slot"
         assert not pool._idle, "dead connection re-entered the idle list"
 
-    def test_async_wire_hangup_is_typed_transient(self):
-        """The load generator's asyncio connection types a peer hangup
-        the same way, so ``client_slot`` retries instead of counting a
-        protocol error."""
-        async def hangup():
-            ours, theirs = socket.socketpair()
-            theirs.close()
-            conn = _AsyncWire()
-            conn._reader, conn._writer = await asyncio.open_connection(
-                sock=ours
-            )
-            conn.closed = False
-            with pytest.raises(ConnectionLostError, match="lost mid-call"):
-                await conn.request(wire.OP_PING)
-            assert conn.closed, "broken connection must mark itself dead"
+    def test_clean_close_before_reply_is_typed_transient(self):
+        """The peer reads the request and closes without a byte of
+        reply (a server restarting between frames): transient, like a
+        reset -- only EOF *inside* a frame is a protocol error."""
+        ours, theirs = socket.socketpair()
 
-        asyncio.run(hangup())
+        def read_then_close():
+            with theirs:
+                _recv_frame(theirs)
+
+        peer = threading.Thread(target=read_then_close)
+        peer.start()
+        conn = _bare_connection(ours)
+        try:
+            with pytest.raises(ConnectionLostError, match="lost mid-call"):
+                conn.request(wire.OP_PING)
+            assert conn.closed, "broken connection must mark itself dead"
+        finally:
+            peer.join(10)
+            ours.close()
+
+    def test_loadgen_hangup_is_retried_as_transient(self):
+        """A live load-generator slot whose server hangs up on BEGIN
+        retries the transaction on a fresh dial instead of counting a
+        protocol error."""
+        server = _HangupServer()
+        try:
+            report = run_live(LoadGenConfig(
+                mode="live", port=server.port, clients=2,
+                duration_ms=400.0, rate_tps=50.0, think_ms=0.0,
+                retry=RetryPolicy(max_restarts=2, base_backoff_ms=1.0,
+                                  max_backoff_ms=4.0),
+            ))
+        finally:
+            server.close()
+        overall = report["overall"]
+        assert report["protocol_errors"] == 0
+        assert overall["issued"] > 0
+        assert overall["committed"] == 0
+        assert overall["retries"] == 2 * overall["issued"]
+        assert overall["gave_up"] == overall["issued"]
+        assert "server" not in report  # the closing STATS hung up too
 
 
 class TestDroppedWindows:

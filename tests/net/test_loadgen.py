@@ -3,6 +3,9 @@ reports), zipfian sampling, and a small live run against a real server."""
 
 import hashlib
 import json
+import random
+import socket
+import time
 from pathlib import Path
 
 import pytest
@@ -10,11 +13,18 @@ import pytest
 from repro.chaos import AdmissionPolicy, RetryPolicy
 from repro.net.loadgen import (
     LoadGenConfig,
+    LoadStats,
     ZipfSampler,
+    _live_slot,
+    _make_context,
+    _MixPicker,
+    client_slot,
     render_report,
     run,
     run_sim,
 )
+
+from tests.net.conftest import make_server
 
 SIM_CFG = dict(
     mode="sim", clients=20, duration_ms=4_000.0, rate_tps=200.0,
@@ -123,21 +133,60 @@ class TestSimDeterminism:
 
 
 class TestLiveMode:
-    def test_small_live_run_is_clean(self, live_server):
-        cfg = LoadGenConfig(
-            mode="live", host="127.0.0.1", port=live_server.port,
-            clients=8, duration_ms=600.0, rate_tps=100.0, think_ms=0.5,
-            seed=2006, pool_size=4,
-            retry=RetryPolicy(max_restarts=2, base_backoff_ms=1.0,
-                              max_backoff_ms=4.0),
-        )
-        report = run(cfg)
+    def test_small_live_run_is_clean(self):
+        handle = make_server()
+        try:
+            report = run(LoadGenConfig(
+                mode="live", host="127.0.0.1", port=handle.port,
+                clients=8, duration_ms=600.0, rate_tps=100.0, think_ms=0.5,
+                seed=2006, pool_size=4,
+                retry=RetryPolicy(max_restarts=2, base_backoff_ms=1.0,
+                                  max_backoff_ms=4.0),
+            ))
+        finally:
+            handle.shutdown()
         assert report["config"]["mode"] == "live"
         assert report["overall"]["issued"] > 0
         assert report["overall"]["committed"] > 0
         assert report["protocol_errors"] == 0
-        assert "server" in report
         assert "_overall" in report["server"]["slo"]
+        # Every slot thread counts into its own stats; a lost update in
+        # the merge would show as a mismatch with the server's count.
+        assert report["overall"]["committed"] == report["server"]["committed"]
+
+    def test_live_run_ends_at_its_deadline(self, live_server):
+        """Clients whose first arrival falls past the deadline (one
+        transaction per 10 s each, a 0.5 s run) issue nothing and do not
+        sleep on: the run ends near ``duration_ms``."""
+        started = time.monotonic()
+        report = run(LoadGenConfig(
+            mode="live", host="127.0.0.1", port=live_server.port,
+            clients=40, duration_ms=500.0, rate_tps=4.0, think_ms=0.5,
+            seed=2006, pool_size=4,
+        ))
+        wall_s = time.monotonic() - started
+        assert wall_s < 2.5, f"run overran its deadline: {wall_s:.2f}s"
+        assert report["duration_ms"] < 2_500.0
+        assert report["protocol_errors"] == 0
+
+    def test_untyped_socket_error_is_a_counted_protocol_error(self):
+        """A socket error the client does not type (here the socket
+        timeout at BEGIN) is counted per transaction; the slot's thread
+        lives on to its deadline instead of dying silently."""
+        class TimingOut:
+            def session(self, *_args):
+                raise socket.timeout("timed out")
+
+        cfg = LoadGenConfig(mode="live", clients=1, duration_ms=50.0,
+                            rate_tps=500.0)
+        stats = LoadStats()
+        slot = client_slot(cfg, _make_context(cfg, ["b1"], ["t1"], []),
+                           _MixPicker(cfg.mix), stats, random.Random(7),
+                           cfg.duration_ms)
+        _live_slot(slot, TimingOut(), time.monotonic(), None)
+        issued = sum(st.issued for st in stats.by_type.values())
+        assert issued > 1
+        assert stats.protocol_errors == issued
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 """Live server tests: handshake, typed errors over the wire, admission
-shed, SLO stats, survival of malformed requests, and exact counts under
-concurrent client threads."""
+shed (counted exactly across client threads), SLO stats, survival of
+malformed requests, and exact counts under concurrent client threads."""
 
 import socket
+import sys
 import threading
 
 import pytest
@@ -268,6 +269,37 @@ class TestAdmission:
             finally:
                 retrying.close()
         finally:
+            handle.shutdown()
+
+    def test_rejected_begins_counts_every_shed_across_threads(self):
+        """Sessions on many threads share one ``RemoteDatabase``, as the
+        live load generator's slots do: no shed may go uncounted."""
+        clients, attempts = 8, 25
+        handle = make_server(
+            admission=AdmissionPolicy(max_pressure=1, max_queue_waits=0)
+        )
+        handle.server.admission.pressure = 5  # every BEGIN sheds
+        db = RemoteDatabase("127.0.0.1", handle.port, pool_size=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def client():
+                for _attempt in range(attempts):
+                    with pytest.raises(AdmissionRejected):
+                        db.session("shed-me")
+
+            threads = [threading.Thread(target=client)
+                       for _index in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert db.rejected_begins == clients * attempts
+            assert handle.server.sheds == clients * attempts
+        finally:
+            sys.setswitchinterval(interval)
+            db.close()
             handle.shutdown()
 
 
