@@ -239,13 +239,6 @@ class ModeTable:
         needs?  Precomputed for all mode pairs."""
         return (held, requested) in self._subsumes
 
-    def is_write_mode(self, mode: str) -> bool:
-        return mode in self.write_modes
-
-    def is_upgrade(self, held: str, requested: str) -> bool:
-        """True if the conversion result differs from the held mode."""
-        return self.convert(held, requested).result != held
-
     def format_compatibility(self) -> str:
         """Render the compatibility matrix in the paper's +/- style."""
         width = max(len(mode) for mode in self.modes) + 1

@@ -23,7 +23,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.splid import Splid
 
@@ -188,8 +188,3 @@ class LockProtocol(ABC):
         if target.level <= lock_depth:
             return target, False
         return target.ancestor_at_level(lock_depth), True
-
-    @staticmethod
-    def ancestor_path(node: Splid) -> Sequence[Splid]:
-        """Ancestors from the document root down to the parent."""
-        return node.ancestors_top_down()

@@ -5,13 +5,14 @@ is exported lazily because it depends on the locking and transaction
 packages.
 """
 
-from repro.dom.builder import build_children, build_document
+from repro.dom.builder import DocumentBuilder, build_children, build_document
 from repro.dom.document import ID_ATTRIBUTE, Document
 from repro.dom.parser import parse_document, parse_spec
 from repro.dom.serializer import serialize_document, serialize_subtree
 
 __all__ = [
     "Document",
+    "DocumentBuilder",
     "ID_ATTRIBUTE",
     "build_children",
     "build_document",

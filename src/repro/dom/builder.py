@@ -1,7 +1,9 @@
-"""Programmatic document construction from nested Python specs.
+"""Programmatic document construction: a write-only builder and specs.
 
-TaMix's bib generator and most tests build documents directly rather than
-parsing XML text.  A *spec* is::
+A fresh document is built by a :class:`DocumentBuilder`, which appends
+nodes in document order without reading back what it wrote.  Most tests
+describe documents as nested Python *specs* rather than XML text.  A
+*spec* is::
 
     ("tag", {"attr": "value"}, [child_spec, ...])      # element
     ("tag", {"attr": "value"})                         # leaf element
@@ -12,13 +14,69 @@ The attribute dict and child list are each optional.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import DocumentError
 from repro.splid import Splid
-from repro.dom.document import Document
+from repro.dom.document import ID_ATTRIBUTE, Document
+from repro.storage.record import NodeRecord
 
 Spec = Union[str, Tuple]
+
+
+class DocumentBuilder:
+    """Write-only appends to a fresh document, in document order.
+
+    ``add_element`` / ``add_text`` / ``set_attribute`` issue exactly the
+    writes of the :class:`Document` methods of the same names, in the same
+    order, so the pages come out identical; but the builder remembers the
+    last child and attribute of every element it created instead of reading
+    them back.  Only the pool's read counters and LRU order differ.
+    Runtime inserts keep the read-back path: there it is simulated I/O.
+    """
+
+    def __init__(self, document: Document):
+        if len(document) != 1:
+            raise DocumentError(f"{document.name!r} holds more than its root")
+        self.document = document
+        #: Last child (None before the first) of every element built here.
+        self._last_child: Dict[Splid, Optional[Splid]] = {document.root: None}
+        #: Last attribute of every element that has one.
+        self._last_attribute: Dict[Splid, Splid] = {}
+
+    def _next_label(self, element: Splid, parent: Splid, last: Dict) -> Splid:
+        if element not in self._last_child:
+            raise DocumentError(f"{element} is not an element of this build")
+        last[element] = splid = self.document.allocator.between(parent, last.get(element), None)
+        return splid
+
+    def add_element(self, parent: Splid, name: str) -> Splid:
+        document = self.document
+        splid = self._next_label(parent, parent, self._last_child)
+        document.store.put(splid, NodeRecord.element(document.vocabulary.intern(name)))
+        document.element_index.add(name, splid)
+        self._last_child[splid] = None
+        return splid
+
+    def add_text(self, parent: Splid, content: str) -> Splid:
+        splid = self._next_label(parent, parent, self._last_child)
+        self.document.store.put(splid, NodeRecord.text())
+        self.document.store.put(splid.string_node, NodeRecord.string(content))
+        return splid
+
+    def set_attribute(self, element: Splid, name: str, value: str) -> Splid:
+        """Append attribute ``name``; unlike :meth:`Document.set_attribute`
+        this never updates, so each name is set once per element."""
+        document = self.document
+        first = element not in self._last_attribute
+        splid = self._next_label(element, element.attribute_root, self._last_attribute)
+        if first:
+            document.store.put(element.attribute_root, NodeRecord.attribute_root())
+        document.store.put(splid, NodeRecord.attribute(document.vocabulary.intern(name)))
+        document.store.put(splid.string_node, NodeRecord.string(value))
+        if name == ID_ATTRIBUTE:
+            document.id_index.add(value, element)
+        return splid
 
 
 def _parse_spec(spec: Spec) -> Tuple[str, Mapping[str, str], Sequence[Spec]]:
@@ -37,17 +95,21 @@ def _parse_spec(spec: Spec) -> Tuple[str, Mapping[str, str], Sequence[Spec]]:
     return name, attrs, children
 
 
-def build_children(document: Document, parent: Splid, specs: Iterable[Spec]) -> None:
-    """Append children described by ``specs`` below ``parent``."""
+def build_children(
+    target: Union[Document, DocumentBuilder], parent: Splid,
+    specs: Iterable[Spec],
+) -> None:
+    """Append children described by ``specs`` below ``parent``, through a
+    live :class:`Document` or a :class:`DocumentBuilder`."""
     for spec in specs:
         if isinstance(spec, str):
-            document.add_text(parent, spec)
+            target.add_text(parent, spec)
             continue
         name, attrs, children = _parse_spec(spec)
-        element = document.add_element(parent, name)
+        element = target.add_element(parent, name)
         for attr_name, attr_value in attrs.items():
-            document.set_attribute(element, attr_name, attr_value)
-        build_children(document, element, children)
+            target.set_attribute(element, attr_name, attr_value)
+        build_children(target, element, children)
 
 
 def build_document(spec: Spec, *, name: str = "document", **document_kwargs) -> Document:
@@ -56,7 +118,8 @@ def build_document(spec: Spec, *, name: str = "document", **document_kwargs) -> 
         raise DocumentError("the document root must be an element spec")
     root_name, attrs, children = _parse_spec(spec)
     document = Document(name=name, root_element=root_name, **document_kwargs)
+    builder = DocumentBuilder(document)
     for attr_name, attr_value in attrs.items():
-        document.set_attribute(document.root, attr_name, attr_value)
-    build_children(document, document.root, children)
+        builder.set_attribute(document.root, attr_name, attr_value)
+    build_children(builder, document.root, children)
     return document

@@ -64,7 +64,6 @@ class Simulator:
         self._heap: List[Tuple[float, int, _Process]] = []
         self._seq = 0
         self._processes: List[_Process] = []
-        self._waiting = 0
 
     # -- public API ----------------------------------------------------------
 
@@ -97,14 +96,6 @@ class Simulator:
         if until is not None:
             self.now = max(self.now, until)
         return self.now
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._heap)
-
-    @property
-    def blocked_processes(self) -> int:
-        return self._waiting
 
     # -- internals -----------------------------------------------------------------
 
@@ -146,14 +137,12 @@ class Simulator:
             )
 
     def _park(self, process: _Process, ticket: WaitTicket) -> None:
-        self._waiting += 1
         settled = {"done": False}
 
         def on_grant(_ticket: WaitTicket) -> None:
             if settled["done"]:
                 return
             settled["done"] = True
-            self._waiting -= 1
             self._schedule(self.now, process)
 
         ticket.on_grant = on_grant
@@ -168,7 +157,6 @@ class Simulator:
             if settled["done"] or ticket.granted or ticket.cancelled:
                 return
             settled["done"] = True
-            self._waiting -= 1
             if ticket.cancel is not None:
                 ticket.cancel()
             self._throw(process, LockTimeout(

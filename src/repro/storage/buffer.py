@@ -248,11 +248,6 @@ class BufferManager:
         self._resident.pop(page_id, None)
         self.page_file.free(page_id)
 
-    def mark_dirty(self, page_id: int) -> None:
-        if page_id in self._resident:
-            self._resident.move_to_end(page_id)
-            self._resident[page_id] = True
-
     def flush(self) -> None:
         """Write back all dirty pages (checkpoint)."""
         for page_id, dirty in self._resident.items():

@@ -142,7 +142,7 @@ class Page:
         return True
 
     def split_off_upper_half(self, new_page: "Page") -> bytes:
-        """Move the upper half (by bytes) into ``new_page``.
+        """Move the upper half (by bytes) into the empty ``new_page``.
 
         Returns the separator key: the smallest key of the new page.
         """
@@ -150,26 +150,25 @@ class Page:
             raise PageOverflowError(
                 f"page {self.page_id} cannot split with {len(self._keys)} entries"
             )
+        if new_page._keys:
+            raise StorageError(f"split target page {new_page.page_id} is not empty")
+        # Keep entries until the kept bytes reach half; at least one entry
+        # stays and at least one moves.
         target = self._used // 2
-        acc = PAGE_HEADER
+        kept = PAGE_HEADER
         cut = 0
         while cut < len(self._keys) - 1:
-            acc += entry_size(self._keys[cut], self._values[cut])
-            if acc >= target:
-                cut += 1
-                break
+            kept += entry_size(self._keys[cut], self._values[cut])
             cut += 1
-        cut = max(1, min(cut, len(self._keys) - 1))
-        for key, value in zip(self._keys[cut:], self._values[cut:]):
-            new_page.put(key, value)
-        moved = sum(
-            entry_size(k, v)
-            for k, v in zip(self._keys[cut:], self._values[cut:])
-        )
+            if kept >= target:
+                break
+        new_page._keys = self._keys[cut:]
+        new_page._values = self._values[cut:]
+        new_page._used += self._used - kept
         del self._keys[cut:]
         del self._values[cut:]
-        self._used -= moved
-        return new_page.min_key()
+        self._used = kept
+        return new_page._keys[0]
 
     def absorb(self, right: "Page") -> None:
         """Merge all entries of ``right`` (must follow this page) into self."""

@@ -27,6 +27,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List
 
+from repro.dom.builder import DocumentBuilder
 from repro.dom.document import Document
 from repro.errors import BenchmarkError
 from repro.storage import image
@@ -52,6 +53,9 @@ class BibInfo:
     book_ids: List[str] = field(default_factory=list)
     topic_ids: List[str] = field(default_factory=list)
     person_ids: List[str] = field(default_factory=list)
+    #: Set by :func:`~repro.tamix.cluster.make_database`: a run mutates the
+    #: document, so one info backs at most one database.
+    claimed: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def books(self) -> int:
@@ -107,63 +111,64 @@ def generate_bib(
         buffer=make_buffered_store(pool_size=buffer_pool_pages),
     )
     info = BibInfo(document=document)
+    builder = DocumentBuilder(document)
     root = document.root
 
-    persons = document.add_element(root, "persons")
+    persons = builder.add_element(root, "persons")
     for p in range(n_persons):
         person_id = f"p{p}"
-        person = document.add_element(persons, "person")
-        document.set_attribute(person, "id", person_id)
-        name = document.add_element(person, "name")
-        first = document.add_element(name, "first")
-        document.add_text(first, rng.choice(_FIRST_NAMES))
-        last = document.add_element(name, "last")
-        document.add_text(last, rng.choice(_LAST_NAMES))
+        person = builder.add_element(persons, "person")
+        builder.set_attribute(person, "id", person_id)
+        name = builder.add_element(person, "name")
+        first = builder.add_element(name, "first")
+        builder.add_text(first, rng.choice(_FIRST_NAMES))
+        last = builder.add_element(name, "last")
+        builder.add_text(last, rng.choice(_LAST_NAMES))
         info.person_ids.append(person_id)
 
-    authors = document.add_element(root, "authors")
+    authors = builder.add_element(root, "authors")
     for a in range(n_authors):
-        author = document.add_element(authors, "author")
-        document.set_attribute(author, "id", f"a{a}")
-        document.add_text(author, rng.choice(_LAST_NAMES))
+        author = builder.add_element(authors, "author")
+        builder.set_attribute(author, "id", f"a{a}")
+        builder.add_text(author, rng.choice(_LAST_NAMES))
 
-    topics = document.add_element(root, "topics")
+    topics = builder.add_element(root, "topics")
     book_number = 0
     for t in range(n_topics):
         topic_id = f"t{t}"
-        topic = document.add_element(topics, "topic")
-        document.set_attribute(topic, "id", topic_id)
+        topic = builder.add_element(topics, "topic")
+        builder.set_attribute(topic, "id", topic_id)
         info.topic_ids.append(topic_id)
         for _b in range(books_per_topic):
             book_id = f"b{book_number}"
             book_number += 1
-            book = document.add_element(topic, "book")
-            document.set_attribute(book, "id", book_id)
-            document.set_attribute(book, "year", str(rng.randint(1985, 2006)))
-            title = document.add_element(book, "title")
-            document.add_text(
+            book = builder.add_element(topic, "book")
+            builder.set_attribute(book, "id", book_id)
+            builder.set_attribute(book, "year", str(rng.randint(1985, 2006)))
+            title = builder.add_element(book, "title")
+            builder.add_text(
                 title, " ".join(rng.sample(_TITLE_WORDS, 3))
             )
-            author = document.add_element(book, "author")
-            document.add_text(author, rng.choice(_LAST_NAMES))
-            price = document.add_element(book, "price")
-            document.add_text(price, f"{rng.randint(10, 200)}.{rng.randint(0,99):02d}")
-            chapters = document.add_element(book, "chapters")
+            author = builder.add_element(book, "author")
+            builder.add_text(author, rng.choice(_LAST_NAMES))
+            price = builder.add_element(book, "price")
+            builder.add_text(price, f"{rng.randint(10, 200)}.{rng.randint(0,99):02d}")
+            chapters = builder.add_element(book, "chapters")
             for c in range(rng.randint(5, 10)):
-                chapter = document.add_element(chapters, "chapter")
-                ch_title = document.add_element(chapter, "title")
-                document.add_text(ch_title, f"Chapter {c + 1}")
-                summary = document.add_element(chapter, "summary")
-                document.add_text(
+                chapter = builder.add_element(chapters, "chapter")
+                ch_title = builder.add_element(chapter, "title")
+                builder.add_text(ch_title, f"Chapter {c + 1}")
+                summary = builder.add_element(chapter, "summary")
+                builder.add_text(
                     summary, " ".join(rng.sample(_TITLE_WORDS, 4))
                 )
-            history = document.add_element(book, "history")
+            history = builder.add_element(book, "history")
             for _l in range(rng.choice((9, 10))):
-                lend = document.add_element(history, "lend")
-                document.set_attribute(
+                lend = builder.add_element(history, "lend")
+                builder.set_attribute(
                     lend, "person", f"p{rng.randrange(n_persons)}"
                 )
-                document.set_attribute(
+                builder.set_attribute(
                     lend, "return", f"2006-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}"
                 )
             info.book_ids.append(book_id)

@@ -19,7 +19,7 @@ import random
 from typing import Optional
 
 from repro.database import Database
-from repro.errors import DeadlockAbort
+from repro.errors import BenchmarkError, DeadlockAbort
 from repro.sched.simulator import Simulator
 from repro.tamix.bibgen import BibInfo, load_bib
 from repro.tamix.coordinator import TaMixConfig, TaMixCoordinator
@@ -49,6 +49,12 @@ def make_database(
     """A database plus bib document for one benchmark run."""
     if info is None:
         info = load_bib(scale, seed=seed)
+    elif info.claimed:
+        raise BenchmarkError(
+            "this BibInfo already backs a database, whose runs changed it; "
+            "pass a fresh one (generate_bib, load_bib or BibInfo.from_image)"
+        )
+    info.claimed = True
     database = Database(
         protocol=protocol,
         lock_depth=lock_depth,

@@ -225,9 +225,6 @@ class RunResult:
     def committed_of(self, txn_type: str) -> int:
         return self.by_type[txn_type].committed
 
-    def aborted_of(self, txn_type: str) -> int:
-        return self.by_type[txn_type].aborted
-
     def normalized_throughput(self, window_ms: float = 300_000.0) -> float:
         """Committed transactions per paper-sized (5-minute) window."""
         if self.run_duration_ms <= 0:

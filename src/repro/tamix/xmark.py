@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.database import Database
+from repro.dom.builder import DocumentBuilder
 from repro.dom.document import Document
 from repro.errors import BenchmarkError, TransactionAborted
 from repro.query.engine import QueryProcessor
@@ -61,50 +62,51 @@ def generate_auction(scale: float = 0.1, *, seed: int = 1999) -> AuctionInfo:
         buffer=make_buffered_store(pool_size=4096),
     )
     info = AuctionInfo(document=document)
+    builder = DocumentBuilder(document)
     root = document.root
 
-    regions = document.add_element(root, "regions")
+    regions = builder.add_element(root, "regions")
     item_number = 0
     for region_name in _REGIONS:
-        region = document.add_element(regions, region_name)
+        region = builder.add_element(regions, region_name)
         for _i in range(n_items_per_region):
             item_id = f"item{item_number}"
             item_number += 1
-            item = document.add_element(region, "item")
-            document.set_attribute(item, "id", item_id)
-            name = document.add_element(item, "name")
-            document.add_text(name, f"Lot {item_number}")
-            category = document.add_element(item, "incategory")
-            document.set_attribute(
+            item = builder.add_element(region, "item")
+            builder.set_attribute(item, "id", item_id)
+            name = builder.add_element(item, "name")
+            builder.add_text(name, f"Lot {item_number}")
+            category = builder.add_element(item, "incategory")
+            builder.set_attribute(
                 category, "category", rng.choice(_CATEGORIES)
             )
-            quantity = document.add_element(item, "quantity")
-            document.add_text(quantity, str(rng.randint(1, 5)))
+            quantity = builder.add_element(item, "quantity")
+            builder.add_text(quantity, str(rng.randint(1, 5)))
             info.item_ids.append(item_id)
 
-    people = document.add_element(root, "people")
+    people = builder.add_element(root, "people")
     for p in range(n_persons):
         person_id = f"person{p}"
-        person = document.add_element(people, "person")
-        document.set_attribute(person, "id", person_id)
-        name = document.add_element(person, "name")
-        document.add_text(name, rng.choice(_NAMES))
+        person = builder.add_element(people, "person")
+        builder.set_attribute(person, "id", person_id)
+        name = builder.add_element(person, "name")
+        builder.add_text(name, rng.choice(_NAMES))
         if rng.random() < 0.6:
-            document.set_attribute(person, "income", str(rng.randint(20, 120) * 1000))
+            builder.set_attribute(person, "income", str(rng.randint(20, 120) * 1000))
         info.person_ids.append(person_id)
 
-    open_auctions = document.add_element(root, "open_auctions")
+    open_auctions = builder.add_element(root, "open_auctions")
     for a in range(n_auctions):
         auction_id = f"open_auction{a}"
-        auction = document.add_element(open_auctions, "open_auction")
-        document.set_attribute(auction, "id", auction_id)
-        itemref = document.add_element(auction, "itemref")
-        document.set_attribute(itemref, "item", rng.choice(info.item_ids))
-        current = document.add_element(auction, "current")
-        document.add_text(current, f"{rng.randint(1, 500)}.00")
+        auction = builder.add_element(open_auctions, "open_auction")
+        builder.set_attribute(auction, "id", auction_id)
+        itemref = builder.add_element(auction, "itemref")
+        builder.set_attribute(itemref, "item", rng.choice(info.item_ids))
+        current = builder.add_element(auction, "current")
+        builder.add_text(current, f"{rng.randint(1, 500)}.00")
         for _b in range(rng.randint(1, 5)):
-            bid = document.add_element(auction, "bidder")
-            document.set_attribute(bid, "person", rng.choice(info.person_ids))
+            bid = builder.add_element(auction, "bidder")
+            builder.set_attribute(bid, "person", rng.choice(info.person_ids))
         info.auction_ids.append(auction_id)
     return info
 

@@ -123,9 +123,6 @@ class RunHistory:
     def committed_transactions(self) -> List[TxnRecord]:
         return [t for t in self.transactions.values() if t.committed]
 
-    def accesses_of(self, label: str) -> List[Access]:
-        return [access for access in self.accesses if access.txn == label]
-
     def configuration(
         self,
         *,

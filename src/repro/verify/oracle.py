@@ -363,11 +363,6 @@ def _regions(request: MetaRequest) -> List[Tuple[str, object, bool]]:
     return []
 
 
-def _prefix_of(ancestor: Splid, node: Splid) -> bool:
-    a, b = ancestor.divisions, node.divisions
-    return len(a) <= len(b) and b[:len(a)] == a
-
-
 class _Group:
     """All touches of one (txn, region) pair, collapsed to a seq window.
 

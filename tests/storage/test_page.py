@@ -94,6 +94,33 @@ class TestOverflowAndSplit:
         assert len(left) + len(right) == 64
         assert abs(left.used_bytes - right.used_bytes) < left.capacity // 4
 
+    def test_split_equals_moving_entry_by_entry(self):
+        """The one-slice split leaves both pages as per-entry puts would."""
+        left = Page(0, capacity=1024)
+        for i in range(40):
+            left.put(f"k{i:03d}".encode(), b"v" * (i % 7))
+        entries, used = list(left.entries()), left.used_bytes
+        right = Page(1, capacity=1024)
+        separator = left.split_off_upper_half(right)
+        cut = len(left)
+        reference = Page(1, capacity=1024)
+        for key, value in entries[cut:]:
+            reference.put(key, value)
+        assert list(right.entries()) == list(reference.entries())
+        assert right.used_bytes == reference.used_bytes
+        assert left.used_bytes + right.used_bytes == used + PAGE_HEADER
+        assert separator == entries[cut][0]
+
+    def test_split_into_a_non_empty_page_fails(self):
+        left = Page(0, capacity=1024)
+        for i in range(4):
+            left.put(f"k{i}".encode(), b"v")
+        right = Page(1, capacity=1024)
+        right.put(b"z", b"v")
+        with pytest.raises(StorageError):
+            left.split_off_upper_half(right)
+        assert len(left) == 4 and len(right) == 1
+
     def test_split_single_entry_fails(self, page):
         page.put(b"k", b"v")
         with pytest.raises(PageOverflowError):

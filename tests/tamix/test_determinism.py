@@ -8,10 +8,14 @@ multi-worker sweep has to reproduce the serial sweep byte-for-byte
 optimizations).
 """
 
+import pytest
+
+from repro.errors import BenchmarkError
 from repro.obs import txn_label
 from repro.splid import Splid
 from repro.tamix import TaMixConfig, TaMixCoordinator, generate_bib, make_database
-from repro.tamix.cluster import run_cluster1
+from repro.tamix.bibgen import BibInfo
+from repro.tamix.cluster import run_cluster1, run_cluster2
 from repro.tamix.sweep import SweepRunner, SweepSpec
 
 RUN_KW = dict(
@@ -128,3 +132,19 @@ def test_parallel_sweep_csv_matches_serial():
     parallel_runner.run()
     assert parallel_runner.to_csv() == serial_runner.to_csv()
     assert parallel_runner.to_json() == serial_runner.to_json()
+
+
+@pytest.mark.parametrize("second", ["cluster1", "cluster2"])
+def test_a_reused_bib_info_is_refused(second):
+    """A run mutates its document, so a second run on the same BibInfo
+    would start from a drifted document; it raises instead."""
+    info = generate_bib(scale=0.01, seed=99)
+    pristine = info.to_image()
+    run_cluster1("taDOM3+", lock_depth=4, run_duration_ms=2_000.0, seed=7, info=info)
+    with pytest.raises(BenchmarkError, match="already backs a database"):
+        if second == "cluster1":
+            run_cluster1("taDOM3+", lock_depth=4, run_duration_ms=2_000.0, seed=7, info=info)
+        else:
+            run_cluster2("Node2PL", info=info)
+    fresh = BibInfo.from_image(pristine)
+    assert run_cluster2("Node2PL", info=fresh) > 0
