@@ -1,9 +1,7 @@
 """Programmatic document construction: a write-only builder and specs.
 
-A fresh document is built by a :class:`DocumentBuilder`, which appends
-nodes in document order without reading back what it wrote.  Most tests
-describe documents as nested Python *specs* rather than XML text.  A
-*spec* is::
+A fresh document is built by a :class:`DocumentBuilder`; most tests
+describe one as a nested Python *spec* rather than XML text.  A *spec* is::
 
     ("tag", {"attr": "value"}, [child_spec, ...])      # element
     ("tag", {"attr": "value"})                         # leaf element
@@ -14,7 +12,7 @@ The attribute dict and child list are each optional.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from repro.errors import DocumentError
 from repro.splid import Splid
@@ -30,36 +28,42 @@ class DocumentBuilder:
     ``add_element`` / ``add_text`` / ``set_attribute`` issue exactly the
     writes of the :class:`Document` methods of the same names, in the same
     order, so the pages come out identical; but the builder remembers the
-    last child and attribute of every element it created instead of reading
-    them back.  Only the pool's read counters and LRU order differ.
-    Runtime inserts keep the read-back path: there it is simulated I/O.
+    last child and attribute of each open element (the last one created
+    and its ancestors) instead of reading them back.  Only the pool's read
+    counters and LRU order differ.  Runtime inserts keep the read-back
+    path: there it is simulated I/O.
     """
 
     def __init__(self, document: Document):
         if len(document) != 1:
             raise DocumentError(f"{document.name!r} holds more than its root")
         self.document = document
-        #: Last child (None before the first) of every element built here.
-        self._last_child: Dict[Splid, Optional[Splid]] = {document.root: None}
-        #: Last attribute of every element that has one.
-        self._last_attribute: Dict[Splid, Splid] = {}
+        #: ``[element, last child, last attribute]`` per open element, indexed
+        #: by depth (appends add one division per level, never overflow ones).
+        self._open: List[list] = [[document.root, None, None]]
 
-    def _next_label(self, element: Splid, parent: Splid, last: Dict) -> Splid:
-        if element not in self._last_child:
-            raise DocumentError(f"{element} is not an element of this build")
-        last[element] = splid = self.document.allocator.between(parent, last.get(element), None)
+    def _entry(self, element: Splid) -> list:
+        depth = len(element.divisions) - 1
+        if depth >= len(self._open) or self._open[depth][0] != element:
+            raise DocumentError(f"{element} is not an open element of this build")
+        return self._open[depth]
+
+    def _append_child(self, parent: Splid) -> Splid:
+        entry = self._entry(parent)
+        del self._open[len(parent.divisions):]
+        entry[1] = splid = self.document.allocator.between(parent, entry[1], None)
         return splid
 
     def add_element(self, parent: Splid, name: str) -> Splid:
         document = self.document
-        splid = self._next_label(parent, parent, self._last_child)
+        splid = self._append_child(parent)
         document.store.put(splid, NodeRecord.element(document.vocabulary.intern(name)))
         document.element_index.add(name, splid)
-        self._last_child[splid] = None
+        self._open.append([splid, None, None])
         return splid
 
     def add_text(self, parent: Splid, content: str) -> Splid:
-        splid = self._next_label(parent, parent, self._last_child)
+        splid = self._append_child(parent)
         self.document.store.put(splid, NodeRecord.text())
         self.document.store.put(splid.string_node, NodeRecord.string(content))
         return splid
@@ -68,10 +72,11 @@ class DocumentBuilder:
         """Append attribute ``name``; unlike :meth:`Document.set_attribute`
         this never updates, so each name is set once per element."""
         document = self.document
-        first = element not in self._last_attribute
-        splid = self._next_label(element, element.attribute_root, self._last_attribute)
-        if first:
-            document.store.put(element.attribute_root, NodeRecord.attribute_root())
+        entry = self._entry(element)
+        attr_root = element.attribute_root
+        if entry[2] is None:
+            document.store.put(attr_root, NodeRecord.attribute_root())
+        entry[2] = splid = document.allocator.between(attr_root, entry[2], None)
         document.store.put(splid, NodeRecord.attribute(document.vocabulary.intern(name)))
         document.store.put(splid.string_node, NodeRecord.string(value))
         if name == ID_ATTRIBUTE:
@@ -95,10 +100,8 @@ def _parse_spec(spec: Spec) -> Tuple[str, Mapping[str, str], Sequence[Spec]]:
     return name, attrs, children
 
 
-def build_children(
-    target: Union[Document, DocumentBuilder], parent: Splid,
-    specs: Iterable[Spec],
-) -> None:
+def build_children(target: Union[Document, DocumentBuilder], parent: Splid,
+                   specs: Iterable[Spec]) -> None:
     """Append children described by ``specs`` below ``parent``, through a
     live :class:`Document` or a :class:`DocumentBuilder`."""
     for spec in specs:

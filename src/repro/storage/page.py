@@ -152,8 +152,7 @@ class Page:
             )
         if new_page._keys:
             raise StorageError(f"split target page {new_page.page_id} is not empty")
-        # Keep entries until the kept bytes reach half; at least one entry
-        # stays and at least one moves.
+        # Keep entries until half the bytes stay; at least one stays, one moves.
         target = self._used // 2
         kept = PAGE_HEADER
         cut = 0

@@ -50,10 +50,8 @@ def make_database(
     if info is None:
         info = load_bib(scale, seed=seed)
     elif info.claimed:
-        raise BenchmarkError(
-            "this BibInfo already backs a database, whose runs changed it; "
-            "pass a fresh one (generate_bib, load_bib or BibInfo.from_image)"
-        )
+        raise BenchmarkError("this BibInfo already backs a database, whose runs changed it; "
+                             "pass a fresh one (generate_bib, load_bib or BibInfo.from_image)")
     info.claimed = True
     database = Database(
         protocol=protocol,

@@ -104,6 +104,22 @@ def test_builder_refuses_parents_it_did_not_create_as_elements():
     assert len(document) == 7  # root, book, text + string, attr root, attr + string
 
 
+def test_builder_refuses_closed_elements():
+    """Appends follow document order: once a later sibling exists, an
+    element and its subtree are closed."""
+    document = Document(root_element="bib")
+    builder = DocumentBuilder(document)
+    first = builder.add_element(document.root, "book")
+    title = builder.add_element(first, "title")
+    builder.add_element(document.root, "book")
+    for closed in (first, title):
+        with pytest.raises(DocumentError, match="not an open element"):
+            builder.add_element(closed, "x")
+        with pytest.raises(DocumentError, match="not an open element"):
+            builder.set_attribute(closed, "id", "b9")
+    assert len(document) == 4
+
+
 def test_attribute_after_children_matches_the_runtime_path():
     """An attribute set after the element's children (as the auction
     generator does) lands where ``Document.set_attribute`` puts it."""

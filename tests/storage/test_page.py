@@ -94,22 +94,35 @@ class TestOverflowAndSplit:
         assert len(left) + len(right) == 64
         assert abs(left.used_bytes - right.used_bytes) < left.capacity // 4
 
-    def test_split_equals_moving_entry_by_entry(self):
-        """The one-slice split leaves both pages as per-entry puts would."""
-        left = Page(0, capacity=1024)
-        for i in range(40):
-            left.put(f"k{i:03d}".encode(), b"v" * (i % 7))
-        entries, used = list(left.entries()), left.used_bytes
-        right = Page(1, capacity=1024)
-        separator = left.split_off_upper_half(right)
-        cut = len(left)
-        reference = Page(1, capacity=1024)
-        for key, value in entries[cut:]:
-            reference.put(key, value)
-        assert list(right.entries()) == list(reference.entries())
-        assert right.used_bytes == reference.used_bytes
-        assert left.used_bytes + right.used_bytes == used + PAGE_HEADER
-        assert separator == entries[cut][0]
+    @pytest.mark.parametrize("count", [2, 3, 17, 40])
+    def test_split_equals_moving_entry_by_entry(self, count):
+        """The one-slice split leaves both pages exactly as the per-entry
+        split it replaced did (reference below)."""
+        def fill(page):
+            for i in range(count):
+                page.put(f"k{i:03d}".encode(), b"v" * (i * 5 % 23))
+            return page
+
+        def reference_split(left, right):
+            target, acc, cut = left.used_bytes // 2, PAGE_HEADER, 0
+            while cut < len(left) - 1:
+                acc += entry_size(*left.entry_at(cut))
+                if acc >= target:
+                    cut += 1
+                    break
+                cut += 1
+            cut = max(1, min(cut, len(left) - 1))
+            for key, value in list(left.entries())[cut:]:
+                right.put(key, value)
+                left.delete(key)
+            return right.min_key()
+
+        left, right = fill(Page(0, capacity=2048)), Page(1, capacity=2048)
+        ref_left, ref_right = fill(Page(0, capacity=2048)), Page(1, capacity=2048)
+        assert left.split_off_upper_half(right) == reference_split(ref_left, ref_right)
+        for page, ref in ((left, ref_left), (right, ref_right)):
+            assert list(page.entries()) == list(ref.entries())
+            assert page.used_bytes == ref.used_bytes
 
     def test_split_into_a_non_empty_page_fails(self):
         left = Page(0, capacity=1024)
