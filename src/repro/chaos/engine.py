@@ -231,22 +231,24 @@ class ChaosEngine:
 
     # -- lock hook ------------------------------------------------------------
 
-    def lock_request(self, txn: object, step) -> None:
-        """Called by ``LockManager._acquire_step`` before the table request."""
+    def lock_request(self, txn: object, resource) -> None:
+        """Called by ``LockManager._batch_fast`` for each uncovered step,
+        before its ``lock.request`` event and table decision.
+
+        ``resource`` is the step's ``(space, key)`` pair.
+        """
         rule, op = self._decide("lock.acquire")
         if rule is None:
             return
-        resource = (step.space, str(step.key))
+        space, key = resource
         self._record("lock.acquire", op, rule.kind,
-                     txn=txn_label(txn), resource=f"{step.space}:{step.key}")
+                     txn=txn_label(txn), resource=f"{space}:{key}")
         if rule.kind == "timeout":
             raise LockTimeout(
-                f"injected lock timeout on {step.space}:{step.key}",
-                resource=resource,
+                f"injected lock timeout on {space}:{key}",
+                resource=(space, str(key)),
             )
-        raise DeadlockAbort(
-            f"injected deadlock victim at {step.space}:{step.key}"
-        )
+        raise DeadlockAbort(f"injected deadlock victim at {space}:{key}")
 
     # -- reporting ------------------------------------------------------------
 

@@ -119,7 +119,7 @@ class _TxnLockState:
 
 
 class _PreparedPlan:
-    """A lock plan resolved for the batched fast path.
+    """A lock plan resolved for the batched acquire loop.
 
     ``steps`` holds per-step (resource key, mode table, mode index)
     tuples; the step's space and key are the resource's two halves and
@@ -290,39 +290,30 @@ class LockManager:
         return report
 
     def _execute(self, txn: object, pp: _PreparedPlan, report: AcquireReport):
-        """Generator: run prepared steps -- per step with events when
-        tracing, else in batched lock-table passes."""
-        steps = pp.steps
-        if self._tracing:
-            for resource, table, midx in steps:
-                yield from self._acquire_step(
-                    txn, LockStep(resource[0], resource[1], table.modes[midx]),
-                    report)
-            return
+        """Generator: run prepared steps in batched lock-table passes; a
+        step the table refuses waits for its grant, then the next pass
+        resumes after it."""
         pos = self._batch_fast(txn, pp, report, 0)
         while pos >= 0:
-            resource, table, midx = steps[pos]
-            yield from self._request_and_wait(
-                txn, LockStep(resource[0], resource[1], table.modes[midx]),
-                report)
+            yield from self._request_and_wait(txn, pp.steps[pos], report)
             pos = self._batch_fast(txn, pp, report, pos + 1)
 
     def _batch_fast(self, txn: object, pp: _PreparedPlan,
                     report: AcquireReport, start: int) -> int:
-        """One lock-table pass over a plan's steps (the untraced fast path).
+        """One lock-table pass over a plan's steps: the only acquire loop.
 
-        The per-step generator machinery of :meth:`_acquire_step` is
-        replaced by a flat, yield-free loop over the lock table's
-        integer-mode primitives: covered steps are skipped, instantly
-        grantable steps go through :meth:`LockTable.grant_fast`
-        (index-and-mask only, no :class:`GrantResult` allocation).  Only
-        a step that would actually block stops the loop: its index is
-        returned -- already counted and chaos-hooked -- and the caller
-        runs the ticket/wait machinery for it, then resumes the loop at
-        the next step.  Returns -1 once every step is processed.
-        Decision order per step -- coverage check, chaos hook, table
-        request -- is identical to the per-step path, so seeded runs are
-        byte-identical either way.
+        A flat, yield-free loop over the lock table's integer-mode
+        primitives: covered steps are skipped, instantly grantable steps
+        go through :meth:`LockTable.grant_fast` (index-and-mask only, no
+        :class:`GrantResult` allocation).  Only a step the table refuses
+        stops the loop: its index is returned -- already counted,
+        chaos-hooked and traced as requested -- and the caller queues it
+        and waits (:meth:`_request_and_wait`), then resumes the loop at
+        the next step.  Returns -1 once every step is processed.  Per
+        uncovered step the order is: chaos hook, ``lock.request``, table
+        decision, then ``lock.grant``, ``lock.convert`` (the held mode
+        changed) and ``lock.escalate`` (a child fan-out) when tracing.
+        Covered steps emit nothing.
 
         The *prefix memo*: once this transaction has walked a plan's
         ancestor chain with every step granted or held-subsume-covered,
@@ -347,6 +338,10 @@ class LockManager:
          states_get, anchor_covered, note_grant, mode_usage) = self._hot
         fanouts = report.fanouts
         hook = self._chaos_lock
+        trace = self._tracing
+        if trace:
+            emit = self.tracer.emit
+            label = txn_label(txn)
         prefix_len = pp.prefix_len
         memo_store = False
         if start == 0 and prefix_len:
@@ -389,10 +384,12 @@ class LockManager:
                         continue
                 report.lock_requests += 1
                 if hook is not None:
-                    # May raise LockTimeout/DeadlockAbort; before the table
-                    # request so aborted steps leave no dangling lock.
-                    hook(txn, LockStep(resource[0], resource[1],
-                                       table.modes[midx]))
+                    # May raise LockTimeout/DeadlockAbort; before the request
+                    # event so aborted steps leave no dangling lock.request.
+                    hook(txn, resource)
+                if trace:
+                    emit(LOCK_REQUEST, txn=label, space=resource[0],
+                         key=str(resource[1]), mode=table.modes[midx])
                 if entry is None:
                     # Inlined grant_fast entry-miss path: an uncontended
                     # fresh grant of exactly the requested mode.  Stats
@@ -409,6 +406,10 @@ class LockManager:
                     granted_mode = table.modes[midx]
                     usage_key = (resource[0], granted_mode)
                     mode_usage[usage_key] = mode_usage.get(usage_key, 0) + 1
+                    if trace:
+                        emit(LOCK_GRANT, txn=label, space=resource[0],
+                             key=str(resource[1]), mode=granted_mode,
+                             waited_ms=0.0)
                     # A fresh grant of an anchor-less mode (intention and
                     # plain node locks) has no coverage-cache effect: the
                     # key cannot appear in any anchor set, so the
@@ -423,13 +424,25 @@ class LockManager:
                     return pos
                 gidx = code & 0xFF
                 granted_mode = table.modes[gidx]
+                if trace:
+                    emit(LOCK_GRANT, txn=label, space=resource[0],
+                         key=str(resource[1]), mode=granted_mode,
+                         waited_ms=0.0)
+                    if held_idx >= 0 and gidx != held_idx:
+                        emit(LOCK_CONVERT, txn=label, space=resource[0],
+                             key=str(resource[1]),
+                             from_mode=table.modes[held_idx],
+                             to_mode=granted_mode)
                 usage_key = (resource[0], granted_mode)
                 mode_usage[usage_key] = mode_usage.get(usage_key, 0) + 1
                 child_idx = (code >> 8) - 1
                 if child_idx >= 0:
                     key = resource[1]
-                    fanouts.append((key if isinstance(key, Splid) else key[0],
-                                    table.modes[child_idx]))
+                    node = key if isinstance(key, Splid) else key[0]
+                    fanouts.append((node, table.modes[child_idx]))
+                    if trace:
+                        emit(LOCK_ESCALATE, txn=label, node=str(node),
+                             child_mode=table.modes[child_idx])
                 # Conversions (held_idx >= 0) may drop anchors of the old
                 # mode, so they always refresh the coverage cache.
                 if held_idx >= 0 or table.anchor_any_idx[gidx]:
@@ -673,122 +686,80 @@ class LockManager:
     def _isolation_of(txn: object) -> IsolationLevel:
         return getattr(txn, "isolation", IsolationLevel.REPEATABLE)
 
-    def _acquire_step(self, txn: object, step: LockStep, report: AcquireReport):
-        if self._is_covered(txn, step):
-            report.skipped_covered += 1
-            return
-        report.lock_requests += 1
-        hook = self._chaos_lock
-        if hook is not None:
-            # May raise LockTimeout/DeadlockAbort; before the request
-            # event so aborted steps leave no dangling lock.request.
-            hook(txn, step)
-        yield from self._request_and_wait(txn, step, report)
-
-    def _request_and_wait(self, txn: object, step: LockStep,
+    def _request_and_wait(self, txn: object, step: tuple,
                           report: AcquireReport):
-        """The ticket/wait machinery for one uncovered, uncounted step."""
+        """Generator: queue one prepared step that
+        :meth:`LockTable.grant_fast` refused, and wait for its grant.
+
+        The step is already counted, chaos-hooked and traced as requested
+        by :meth:`_batch_fast`.
+        """
+        resource, table, midx = step
+        space, key = resource
         trace = self._tracing
+        held_before = self.table.mode_held(txn, resource)
+        ticket = self.table.enqueue(txn, resource, midx, table)
+        report.blocked += 1
         if trace:
-            held_before = self.table.mode_held(txn, (step.space, step.key))
-            self.tracer.emit(
-                LOCK_REQUEST, txn=txn_label(txn), space=step.space,
-                key=str(step.key), mode=step.mode,
+            emit = self.tracer.emit
+            where = {"txn": txn_label(txn), "space": space, "key": str(key)}
+            if held_before is None:
+                emit(LOCK_BLOCK, **where, mode=ticket.mode, conversion=False)
+            else:
+                # The conversion edge (held -> requested) the wait stalls
+                # on; the analyzer groups wait time by it.
+                emit(LOCK_BLOCK, **where, mode=ticket.mode, conversion=True,
+                     from_mode=held_before)
+        event = self.detector.check(ticket, self._active_transactions())
+        if event is not None:
+            self.table.cancel_wait(txn)
+            raise DeadlockAbort(
+                f"{txn} is a deadlock victim on "
+                f"{LockStep(space, key, table.modes[midx])}",
+                cycle=event.cycle,
             )
-        result = self.table.request(txn, step.space, step.key, step.mode)
-        if not result.granted:
-            report.blocked += 1
-            ticket = result.ticket
+        ticket.timeout_ms = self.wait_timeout_ms
+        ticket.cancel = self._make_cancel(txn)
+        waited_from = self.clock()
+        if trace:
+            emit(SPAN_BEGIN, **where, cat="wait", name="lock.wait",
+                 mode=ticket.mode)
+        # The wait span must close on the timeout path too, but NOT on
+        # GeneratorExit (a transaction parked at the run horizon is
+        # collected whenever the GC runs -- emitting then would make
+        # traces nondeterministic), so no bare finally here.
+        try:
+            yield ticket
+        except LockTimeout:
             if trace:
-                block_data = {
-                    "space": step.space, "key": str(step.key),
-                    "mode": ticket.mode, "conversion": ticket.is_conversion,
-                }
-                if held_before is not None:
-                    # The conversion edge (held -> requested) the wait
-                    # stalls on; the analyzer groups wait time by it.
-                    block_data["from_mode"] = held_before
-                self.tracer.emit(LOCK_BLOCK, txn=txn_label(txn), **block_data)
-            event = self.detector.check(ticket, self._active_transactions())
-            if event is not None:
-                self.table.cancel_wait(txn)
-                raise DeadlockAbort(
-                    f"{txn} is a deadlock victim on {step}", cycle=event.cycle
-                )
-            ticket.timeout_ms = self.wait_timeout_ms
-            ticket.cancel = self._make_cancel(txn)
-            waited_from = self.clock()
-            if trace:
-                self.tracer.emit(
-                    SPAN_BEGIN, txn=txn_label(txn), cat="wait",
-                    name="lock.wait", space=step.space, key=str(step.key),
-                    mode=ticket.mode,
-                )
-            # The wait span must close on the timeout path too, but NOT on
-            # GeneratorExit (a transaction parked at the run horizon is
-            # collected whenever the GC runs -- emitting then would make
-            # traces nondeterministic), so no bare finally here.
-            try:
-                yield ticket
-            except LockTimeout:
-                if trace:
-                    self.tracer.emit(
-                        SPAN_END, txn=txn_label(txn), cat="wait",
-                        name="lock.wait", space=step.space,
-                        key=str(step.key), mode=ticket.mode,
-                        waited_ms=round(self.clock() - waited_from, 6),
-                    )
-                raise
-            waited = self.clock() - waited_from
-            if trace:
-                self.tracer.emit(
-                    SPAN_END, txn=txn_label(txn), cat="wait",
-                    name="lock.wait", space=step.space, key=str(step.key),
-                    mode=ticket.mode, waited_ms=round(waited, 6),
-                )
-            self.wait_count += 1
-            self.wait_time_total += waited
-            self.wait_time_max = max(self.wait_time_max, waited)
-            self.wait_histogram.observe(waited)
-            granted_mode = ticket.mode
-            child_mode = ticket.child_mode
-            if trace:
-                self.tracer.emit(
-                    LOCK_GRANT, txn=txn_label(txn), space=step.space,
-                    key=str(step.key), mode=granted_mode,
-                    waited_ms=round(waited, 6),
-                )
-                if held_before is not None and granted_mode != held_before:
-                    self.tracer.emit(
-                        LOCK_CONVERT, txn=txn_label(txn), space=step.space,
-                        key=str(step.key), from_mode=held_before,
-                        to_mode=granted_mode,
-                    )
-        else:
-            granted_mode = result.mode
-            child_mode = result.child_mode
-            if trace:
-                self.tracer.emit(
-                    LOCK_GRANT, txn=txn_label(txn), space=step.space,
-                    key=str(step.key), mode=granted_mode, waited_ms=0.0,
-                )
-                if held_before is not None and granted_mode != held_before:
-                    self.tracer.emit(
-                        LOCK_CONVERT, txn=txn_label(txn), space=step.space,
-                        key=str(step.key), from_mode=held_before,
-                        to_mode=granted_mode,
-                    )
-        usage_key = (step.space, granted_mode)
+                emit(SPAN_END, **where, cat="wait", name="lock.wait",
+                     mode=ticket.mode,
+                     waited_ms=round(self.clock() - waited_from, 6))
+            raise
+        waited = self.clock() - waited_from
+        self.wait_count += 1
+        self.wait_time_total += waited
+        self.wait_time_max = max(self.wait_time_max, waited)
+        self.wait_histogram.observe(waited)
+        granted_mode = ticket.mode
+        if trace:
+            emit(SPAN_END, **where, cat="wait", name="lock.wait",
+                 mode=granted_mode, waited_ms=round(waited, 6))
+            emit(LOCK_GRANT, **where, mode=granted_mode,
+                 waited_ms=round(waited, 6))
+            if held_before is not None:
+                # A refused conversion always changes the held mode.
+                emit(LOCK_CONVERT, **where, from_mode=held_before,
+                     to_mode=granted_mode)
+        usage_key = (space, granted_mode)
         self.mode_usage[usage_key] = self.mode_usage.get(usage_key, 0) + 1
-        if child_mode is not None:
-            key = step.key if isinstance(step.key, Splid) else step.key[0]
-            report.fanouts.append((key, child_mode))
+        if ticket.child_mode is not None:
+            node = key if isinstance(key, Splid) else key[0]
+            report.fanouts.append((node, ticket.child_mode))
             if trace:
-                self.tracer.emit(
-                    LOCK_ESCALATE, txn=txn_label(txn), node=str(key),
-                    child_mode=child_mode,
-                )
-        self._note_grant(txn, step.space, step.key, granted_mode)
+                emit(LOCK_ESCALATE, txn=where["txn"], node=str(node),
+                     child_mode=ticket.child_mode)
+        self._note_grant(txn, space, key, granted_mode)
 
     # -- coverage cache ------------------------------------------------------------
 
@@ -832,22 +803,6 @@ class LockManager:
             mode = self.table.mode_held(txn, resource)
             if mode is not None and isinstance(key, Splid):
                 self._note_grant(txn, space, key, mode)
-
-    def _is_covered(self, txn: object, step: LockStep) -> bool:
-        table = self.table.table_for(step.space)
-        resource = (step.space, step.key)
-        held_idx = self.table.held_index(txn, resource)
-        midx = table.mode_index.get(step.mode)
-        if midx is None:
-            raise LockError(f"mode {step.mode} not in table {table.name}")
-        if held_idx >= 0 and (table.subsume_mask[held_idx] >> midx) & 1:
-            # Transaction-local lock cache: the held mode already grants
-            # everything the request needs -- no lock-table access.
-            return True
-        state = self._states.get(txn)
-        if state is None:
-            return False
-        return self._anchor_covered(state, resource, table, midx)
 
     def _anchor_covered(self, state: _TxnLockState, resource: tuple,
                         table, midx: int) -> bool:

@@ -4,6 +4,8 @@ A pure state machine, deliberately free of threads and clocks so that the
 same table runs under the discrete-event simulator and under the live
 server's event loop.  The drivers observe blocking through
 :class:`WaitTicket` objects and are notified of grants via callbacks.
+:meth:`LockTable.grant_fast` is the one grant decision; a request it
+refuses is queued by :meth:`LockTable.enqueue`.
 
 Semantics (Section 2.3 / [9]):
 
@@ -12,7 +14,8 @@ Semantics (Section 2.3 / [9]):
   yielding a *child action* (the CX_NR-style fan-out);
 * conversions wait at the head of the queue (before fresh requests);
 * fresh requests are granted FIFO: a request waits if it is incompatible
-  with any current holder *or* any earlier waiter (no starvation);
+  with any current holder *or* any request is already queued (no
+  starvation);
 * releasing locks drains the queue in order, stopping at the first
   request that still cannot be granted.
 
@@ -43,10 +46,6 @@ ResourceKey = Tuple[str, object]  # (lock space, key)
 #: recycles entries instead of allocating, small enough that a burst of
 #: unique resources cannot pin unbounded memory afterwards.
 _POOL_CAPACITY = 4_096
-
-# Sentinel distinguishing "caller did not look the entry up" from a
-# known-absent resource (``None``) in :meth:`LockTable.grant_fast`.
-_MISSING = object()
 
 
 def _release_order(resource: ResourceKey):
@@ -166,14 +165,6 @@ class LockTable:
             return None
         return self._tables[resource[0]].modes[idx]
 
-    def held_index(self, txn: object, resource: ResourceKey) -> int:
-        """Mode index held by ``txn`` on ``resource``; -1 when none."""
-        entry = self._entries.get(resource)
-        if entry is None:
-            return -1
-        idx = entry.granted.get(txn)
-        return -1 if idx is None else idx
-
     def holders(self, resource: ResourceKey) -> Dict[object, str]:
         entry = self._entries.get(resource)
         if entry is None:
@@ -263,116 +254,54 @@ class LockTable:
     # -- requests ---------------------------------------------------------------
 
     def request(self, txn: object, space: str, key: object, mode: str) -> GrantResult:
-        """Request ``mode`` on ``(space, key)`` for ``txn``."""
-        if txn in self._waiting:
-            raise LockError(f"{txn} already waiting; cannot issue new request")
-        table = self._tables.get(space)
-        if table is None:
-            raise LockError(f"no mode table for lock space {space!r}")
+        """Request ``mode`` on ``(space, key)`` for ``txn``.
+
+        The public convenience over the two primitives the lock manager
+        drives itself: :meth:`grant_fast` decides, and a refused request
+        is queued by :meth:`enqueue`.
+        """
+        table = self.table_for(space)
         midx = table.mode_index.get(mode)
         if midx is None:
             raise LockError(f"mode {mode} not in table {table.name}")
         resource: ResourceKey = (space, key)
-        self.requests += 1
-
         entry = self._entries.get(resource)
+        held_idx = -1 if entry is None else entry.granted.get(txn, -1)
+        code = self.grant_fast(txn, resource, midx, table, entry)
+        if code < 0:
+            return GrantResult(granted=False,
+                               ticket=self.enqueue(txn, resource, midx, table))
+        child_idx = (code >> 8) - 1
+        return GrantResult(
+            granted=True, mode=table.modes[code & 0xFF],
+            child_mode=table.modes[child_idx] if child_idx >= 0 else None,
+            # Held mode unchanged and no child: the code is the held index.
+            noop=code == held_idx,
+        )
+
+    def grant_fast(self, txn: object, resource: ResourceKey, midx: int,
+                   table: ModeTable, entry: Optional[_Entry]) -> int:
+        """Grant instantly or refuse.
+
+        The table's one grant decision.  Returns -1 when the request
+        cannot be granted on the spot (the caller queues it with
+        :meth:`enqueue`).  On success returns the grant encoded as
+        ``result_idx | (child_idx + 1) << 8``.  A grant counts the request
+        and the instant grant (and a mode change the conversion); a
+        refusal counts nothing, :meth:`enqueue` does.
+
+        ``entry`` is the resource's entry, or ``None`` when it has none:
+        the caller has looked it up already (the batched coverage check
+        needs it too).
+        """
+        if txn in self._waiting:
+            raise LockError(f"{txn} already waiting; cannot issue new request")
         if entry is None:
-            # Uncontended fresh resource: grant without any matrix probe.
             pool = self._pool
             entry = pool.pop() if pool else _Entry()
             self._entries[resource] = entry
             entry.granted[txn] = midx
             self._note_held(txn, resource)
-            self.instant_grants += 1
-            return GrantResult(granted=True, mode=mode)
-
-        granted = entry.granted
-        modes = table.modes
-        held_idx = granted.get(txn)
-        if held_idx is not None:
-            flat = held_idx * table.mode_count + midx
-            result_idx = table.conv_result[flat]
-            child_idx = table.conv_child[flat]
-            child = modes[child_idx] if child_idx >= 0 else None
-            if result_idx == held_idx:
-                # Mode unchanged: no compatibility check needed.  A child
-                # action may still apply (e.g. held CX + requested LR
-                # demands NR on every child even though CX stays).
-                self.instant_grants += 1
-                return GrantResult(
-                    granted=True, mode=modes[held_idx],
-                    child_mode=child, noop=child is None,
-                )
-            self.conversions += 1
-            mask = table.compat_mask[result_idx]
-            blocked = False
-            for holder, holder_idx in granted.items():
-                if holder != txn and not (mask >> holder_idx) & 1:
-                    blocked = True
-                    break
-            if not blocked:
-                granted[txn] = result_idx
-                self.instant_grants += 1
-                return GrantResult(
-                    granted=True, mode=modes[result_idx], child_mode=child,
-                )
-            ticket = WaitTicket(
-                txn, resource, modes[result_idx],
-                is_conversion=True, child_mode=child, mode_idx=result_idx,
-            )
-            self._enqueue_conversion(entry, ticket)
-            self._waiting[txn] = ticket
-            self.waits += 1
-            return GrantResult(granted=False, ticket=ticket)
-
-        if not entry.queue:
-            mask = table.compat_mask[midx]
-            blocked = False
-            for holder_idx in granted.values():
-                if not (mask >> holder_idx) & 1:
-                    blocked = True
-                    break
-            if not blocked:
-                granted[txn] = midx
-                self._note_held(txn, resource)
-                self.instant_grants += 1
-                return GrantResult(granted=True, mode=mode)
-
-        ticket = WaitTicket(txn, resource, mode, is_conversion=False,
-                            mode_idx=midx)
-        entry.queue.append(ticket)
-        self._waiting[txn] = ticket
-        self.waits += 1
-        return GrantResult(granted=False, ticket=ticket)
-
-    def grant_fast(self, txn: object, resource: ResourceKey, midx: int,
-                   table: ModeTable, entry: object = _MISSING) -> int:
-        """Batched-path primitive: grant instantly or refuse.
-
-        Returns -1 when the request cannot be granted on the spot (the
-        caller falls back to :meth:`request`, which queues a ticket).  On
-        success returns the grant encoded as
-        ``result_idx | (child_idx + 1) << 8``.  Statistics are counted
-        exactly as :meth:`request` would -- refused calls count nothing,
-        so the fallback's own accounting keeps the totals identical.
-
-        ``entry`` lets a caller that already looked the resource up (the
-        batched coverage check) skip the second dict probe; pass the
-        entry or ``None`` for a known-absent resource.
-        """
-        if txn in self._waiting:
-            raise LockError(f"{txn} already waiting; cannot issue new request")
-        if entry is _MISSING:
-            entry = self._entries.get(resource)
-        if entry is None:
-            pool = self._pool
-            entry = pool.pop() if pool else _Entry()
-            self._entries[resource] = entry
-            entry.granted[txn] = midx
-            held = self._held.get(txn)
-            if held is None:
-                held = self._held[txn] = set()
-            held.add(resource)
             self.requests += 1
             self.instant_grants += 1
             return midx
@@ -383,6 +312,9 @@ class LockTable:
             result_idx = table.conv_result[flat]
             child_idx = table.conv_child[flat]
             if result_idx == held_idx:
+                # Mode unchanged: no compatibility check needed.  A child
+                # action may still apply (e.g. held CX + requested LR
+                # demands NR on every child even though CX stays).
                 self.requests += 1
                 self.instant_grants += 1
                 return held_idx | (child_idx + 1) << 8
@@ -409,6 +341,38 @@ class LockTable:
         self.requests += 1
         self.instant_grants += 1
         return midx
+
+    def enqueue(self, txn: object, resource: ResourceKey, midx: int,
+                table: ModeTable) -> WaitTicket:
+        """Queue a request that :meth:`grant_fast` refused.
+
+        Makes no second grant decision.  A holder's request waits for its
+        conversion result (and child fan-out) behind the queued
+        conversions; any other request waits at the tail.  Counts the
+        request, the wait and, for a conversion, the conversion.
+        """
+        entry = self._entries[resource]
+        held_idx = entry.granted.get(txn)
+        modes = table.modes
+        if held_idx is None:
+            ticket = WaitTicket(txn, resource, modes[midx], is_conversion=False,
+                                mode_idx=midx)
+            entry.queue.append(ticket)
+        else:
+            flat = held_idx * table.mode_count + midx
+            result_idx = table.conv_result[flat]
+            child_idx = table.conv_child[flat]
+            ticket = WaitTicket(
+                txn, resource, modes[result_idx], is_conversion=True,
+                child_mode=modes[child_idx] if child_idx >= 0 else None,
+                mode_idx=result_idx,
+            )
+            self._enqueue_conversion(entry, ticket)
+            self.conversions += 1
+        self._waiting[txn] = ticket
+        self.requests += 1
+        self.waits += 1
+        return ticket
 
     def cancel_wait(self, txn: object) -> None:
         """Withdraw a waiting request (deadlock victim about to abort)."""

@@ -113,20 +113,20 @@ class TestFaultKinds:
 
 
 class TestLockSite:
-    STEP = SimpleNamespace(space="node", key="1.3.5")
+    RESOURCE = ("node", "1.3.5")
 
     def test_injected_timeout(self):
         engine = engine_for(FaultRule("lock.acquire", "timeout", at_ops=(1,)))
         with pytest.raises(LockTimeout) as excinfo:
-            engine.lock_request("T1", self.STEP)
+            engine.lock_request("T1", self.RESOURCE)
         assert excinfo.value.reason == "timeout"
         assert excinfo.value.resource == ("node", "1.3.5")
 
     def test_injected_deadlock_victim(self):
         engine = engine_for(FaultRule("lock.acquire", "deadlock", at_ops=(2,)))
-        engine.lock_request("T1", self.STEP)  # op 1: clean
+        engine.lock_request("T1", self.RESOURCE)  # op 1: clean
         with pytest.raises(DeadlockAbort) as excinfo:
-            engine.lock_request("T1", self.STEP)
+            engine.lock_request("T1", self.RESOURCE)
         assert excinfo.value.reason == "deadlock"
 
 
@@ -176,5 +176,5 @@ class TestWiring:
     def test_empty_schedule_never_faults(self):
         engine = ChaosEngine(FaultSchedule(), seed=1)
         assert [engine.page_read(p) for p in range(50)] == [0.0] * 50
-        engine.lock_request("T1", TestLockSite.STEP)
+        engine.lock_request("T1", TestLockSite.RESOURCE)
         assert engine.fault_log == []

@@ -4,8 +4,9 @@ The cache answers requests already covered by a held subtree/level lock
 without touching the lock table (the SPLID-powered cheapness of subtree
 locks, Section 3.3).  These tests pin its three tricky paths:
 
-* hit/miss classification in ``_is_covered`` (subtree read/write anchors,
-  level-read anchors, the transaction-local lock cache);
+* hit/miss classification in ``_batch_fast``'s coverage check (subtree
+  read/write anchors, level-read anchors, the transaction-local lock
+  cache);
 * anchor *discard* when a conversion loses coverage (taDOM2's
   LR + CX -> CX[NR]: the level read moves to the children, so the anchor
   must go);

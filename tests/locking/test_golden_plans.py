@@ -108,7 +108,8 @@ def test_cluster2_delete_times_are_identical(protocol):
 
 @pytest.mark.parametrize("protocol", protocol_names())
 def test_traced_journal_equals_untraced(protocol):
-    """The traced per-step path and the batched fast path agree."""
+    """Tracing only observes: a traced run's journal equals the
+    untraced run's (both take the one batched acquire path)."""
     for isolation in ("repeatable", "committed"):
         plain = _cell(protocol, 4, isolation).as_journal()
         traced = _cell(protocol, 4, isolation,
