@@ -456,8 +456,9 @@ class LockTable:
                 break
             queue.pop(0)
             granted[ticket.txn] = ticket.mode_idx
-            if not ticket.is_conversion:
-                self._note_held(ticket.txn, resource)
+            # Also for a conversion: its holder may have released the
+            # resource while it waited.
+            self._note_held(ticket.txn, resource)
             self._waiting.pop(ticket.txn, None)
             ticket._fire()
         if not granted and not queue:

@@ -9,14 +9,28 @@ mode tables must keep two things true at every step:
 * the detector yields the same event stream as a reference detector that
   always runs the labelled DFS, and it runs the DFS exactly when the
   pre-check says someone waits on the requester.
+
+A state machine over the same harness runs those four operations on every
+distinct mode table of the 11 protocols against the naive
+:class:`~tests.locking.reference_lock_table.ReferenceLockTable`: the grant
+decision, queueing, conversions, child modes, wake order and the four
+counters must agree with it at every step.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
+from repro.core import get_protocol, protocol_names
 from repro.core.tables import STRUCT2PL_TABLE, TADOM2_TABLE
 from repro.locking import DeadlockDetector, LockTable
 from repro.splid import Splid
+from tests.locking.reference_lock_table import ReferenceLockTable
 
 SPACE = "node"
 RESOURCES = [Splid.parse(t) for t in ("1.3", "1.5", "1.7")]
@@ -65,6 +79,24 @@ def test_conversion_does_not_wait_on_a_conversion_queued_ahead():
     assert table.blockers_of(second.ticket) == {"c"}
     assert not table.is_waited_on("a")
     assert table.is_waited_on("c")
+
+
+def test_conversion_granted_after_its_holder_released_is_released_later():
+    """Random schedules rarely build this: a transaction releases the
+    resource its own queued conversion waits on, and the conversion is
+    granted afterwards.  release_all must still release that lock."""
+    table = LockTable({SPACE: TADOM2_TABLE})
+    resource = (SPACE, RESOURCES[0])
+    table.request("a", SPACE, RESOURCES[0], "NR")
+    table.request("b", SPACE, RESOURCES[0], "NR")
+    assert not table.request("a", SPACE, RESOURCES[0], "SX").granted
+    table.release("a", resource)
+    table.release_all("b")
+    assert table.holders(resource) == {"a": "SX"}
+    assert table.held_resources("a") == {resource}
+    table.release_all("a")
+    assert table.holders(resource) == {}
+    assert table.entry_count() == 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -121,3 +153,116 @@ def test_precheck_matches_blockers_and_reference_detector(
     assert [summary(e) for e in detector.events] == [
         summary(e) for e in reference.events]
     assert detector.counts_by_kind() == reference.counts_by_kind()
+
+
+#: Every distinct mode table the contestants use (13 for 11 protocols).
+MODE_TABLES = list({
+    id(table): table
+    for name in protocol_names()
+    for table in get_protocol(name).tables().values()
+}.values())
+#: Few transactions and resources, so that requests collide: queue
+#: orders such as a conversion overtaking a queued fresh request need
+#: three transactions on one resource.  Half the runs use one resource.
+TXNS = ["t0", "t1", "t2"]
+COUNTERS = ("requests", "instant_grants", "waits", "conversions")
+
+
+class ReferenceTableMachine(RuleBasedStateMachine):
+    """``LockTable`` against the naive reference, operation by operation."""
+
+    @initialize(mode_table=st.sampled_from(MODE_TABLES),
+                resources=st.integers(min_value=1, max_value=2),
+                data=st.data())
+    def setup(self, mode_table, resources, data):
+        self.mode_table = mode_table
+        self.keys = RESOURCES[:resources]
+        self.table = LockTable({SPACE: mode_table})
+        self.reference = ReferenceLockTable(mode_table)
+        self.wakes = []
+        # Every run starts with each transaction asking for the first
+        # resource, so that queues exist from the first step.
+        for txn in TXNS:
+            self._request(txn, self.keys[0],
+                          data.draw(st.sampled_from(mode_table.modes)))
+
+    def _wake(self, ticket):
+        self.wakes.append((ticket.txn, ticket.resource, ticket.mode,
+                           ticket.child_mode))
+
+    def _idle(self):
+        return [t for t in TXNS if self.table.waiting_ticket(t) is None]
+
+    @rule(data=st.data())
+    def request(self, data):
+        idle = self._idle()
+        if idle:
+            self._request(data.draw(st.sampled_from(idle)),
+                          data.draw(st.sampled_from(self.keys)),
+                          data.draw(st.sampled_from(self.mode_table.modes)))
+
+    @rule(data=st.data())
+    def convert(self, data):
+        """A holder asks for more than it holds: conversions that change
+        the held mode are where queue orders differ."""
+        wants = [(txn, resource[1], mode) for txn in self._idle()
+                 for resource in sorted(self.table.held_resources(txn))
+                 for mode in self.mode_table.modes
+                 if not self.mode_table.subsumes(
+                     self.table.mode_held(txn, resource), mode)]
+        if wants:
+            self._request(*data.draw(st.sampled_from(wants)))
+
+    def _request(self, txn, key, mode):
+        result = self.table.request(txn, SPACE, key, mode)
+        if result.granted:
+            got = ("granted", result.mode, result.child_mode, result.noop)
+        else:
+            ticket = result.ticket
+            ticket.on_grant = self._wake
+            got = ("blocked", ticket.mode, ticket.is_conversion,
+                   ticket.child_mode)
+        assert got == self.reference.request(txn, (SPACE, key), mode)
+
+    @rule(action=st.sampled_from(
+        ["release", "release", "release_all", "cancel_wait"]), data=st.data())
+    def finish(self, action, data):
+        """release, release_all or cancel_wait.  One rule for the three,
+        so that requests make two thirds of the steps and queues build."""
+        if action == "release":
+            held = [(txn, resource) for txn in TXNS
+                    for resource in sorted(self.table.held_resources(txn))]
+            if held:
+                txn, resource = data.draw(st.sampled_from(held))
+                self.table.release(txn, resource)
+                self.reference.release(txn, resource)
+            return
+        txn = data.draw(st.sampled_from(TXNS))
+        getattr(self.table, action)(txn)
+        getattr(self.reference, action)(txn)
+
+    @invariant()
+    def tables_agree(self):
+        if not hasattr(self, "table"):
+            return
+        reference = self.reference
+        assert self.wakes == reference.wakes
+        for counter in COUNTERS:
+            assert getattr(self.table, counter) == getattr(reference, counter), counter
+        for key in self.keys:
+            resource = (SPACE, key)
+            assert self.table.holders(resource) == reference.holders(resource)
+        for txn in TXNS:
+            assert self.table.held_resources(txn) == reference.held_resources(txn)
+            ticket = self.table.waiting_ticket(txn)
+            waiting = reference.waiting.get(txn)
+            assert (ticket is None) == (waiting is None), txn
+            if ticket is not None:
+                assert (ticket.resource, ticket.mode) == (waiting[0], waiting[1].mode)
+            assert self.table.is_waited_on(txn) == expected_waited_on(
+                self.table, txn), txn
+
+
+ReferenceTableMachine.TestCase.settings = settings(
+    max_examples=400, stateful_step_count=40, deadline=None)
+TestReferenceTable = ReferenceTableMachine.TestCase
