@@ -81,10 +81,12 @@ class IsolationLevel(Enum):
     def parse(cls, value: "IsolationLevel | str") -> "IsolationLevel":
         if isinstance(value, cls):
             return value
-        try:
-            return cls(value.lower())
-        except ValueError:
-            raise LockError(f"unknown isolation level {value!r}") from None
+        if isinstance(value, str):
+            try:
+                return cls(value.lower())
+            except ValueError:
+                pass
+        raise LockError(f"unknown isolation level {value!r}")
 
 
 @dataclass(slots=True)

@@ -41,6 +41,20 @@ class TestAvailability:
             IsolationLevel.SERIALIZABLE
         )
 
+    @pytest.mark.parametrize("value", ["snapshot", 3, None, b"committed"])
+    def test_parse_rejects_unknown_values_with_a_lock_error(self, value):
+        with pytest.raises(LockError, match="unknown isolation level"):
+            IsolationLevel.parse(value)
+
+    def test_public_entry_points_reject_a_non_string_level(self):
+        with pytest.raises(LockError, match="unknown isolation level 3"):
+            Database(isolation=3)
+        db = Database()
+        with pytest.raises(LockError, match="unknown isolation level 3"):
+            db.begin(isolation=3)
+        with pytest.raises(LockError, match="unknown isolation level 3"):
+            db.transactions.begin(isolation=3)
+
 
 class TestPhantomProtection:
     def test_lookup_miss_blocks_insert_of_that_id(self):
