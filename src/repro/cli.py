@@ -5,7 +5,7 @@
     python -m repro info
     python -m repro cluster1 --protocol taDOM3+ --lock-depth 4
     python -m repro cluster2
-    python -m repro sweep --figure 9 --depths 0 2 4 6
+    python -m repro sweep --isolation none repeatable --depths 0 2 4 6
     python -m repro sweep --depths 2 4 --verify
     python -m repro trace --protocol taDOM2 --output trace.jsonl
     python -m repro verify traces/ --crash
@@ -23,9 +23,12 @@ from typing import List, Optional
 from repro import __version__
 from repro.core import ALL_PROTOCOLS, GROUPS, group_of
 from repro.dom import parse_document, serialize_subtree
+from repro.locking import IsolationLevel
 from repro.query import evaluate_raw
 from repro.splid import Splid
 from repro.tamix import run_cluster1, run_cluster2
+
+_ISOLATIONS = [level.value for level in IsolationLevel]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,8 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     c1.add_argument("--protocol", default="taDOM3+", choices=ALL_PROTOCOLS)
     c1.add_argument("--lock-depth", type=int, default=4)
     c1.add_argument("--isolation", default="repeatable",
-                    choices=["none", "uncommitted", "committed",
-                             "repeatable", "serializable"])
+                    choices=_ISOLATIONS)
     c1.add_argument("--scale", type=float, default=0.1)
     c1.add_argument("--seconds", type=float, default=60.0)
     c1.add_argument("--seed", type=int, default=42)
@@ -56,7 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default: all depth-aware protocols")
     sweep.add_argument("--depths", nargs="*", type=int,
                        default=[0, 1, 2, 3, 4, 5, 6, 7])
-    sweep.add_argument("--isolation", default="repeatable")
+    sweep.add_argument("--isolation", nargs="+", default=["repeatable"],
+                       choices=_ISOLATIONS,
+                       help="isolation levels to sweep (default: repeatable)")
     sweep.add_argument("--scale", type=float, default=0.1)
     sweep.add_argument("--seconds", type=float, default=60.0)
     sweep.add_argument("--runs", type=int, default=1,
@@ -120,8 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--protocol", default="taDOM3+", choices=ALL_PROTOCOLS)
     chaos.add_argument("--lock-depth", type=int, default=4)
     chaos.add_argument("--isolation", default="repeatable",
-                       choices=["none", "uncommitted", "committed",
-                                "repeatable", "serializable"])
+                       choices=_ISOLATIONS)
     chaos.add_argument("--seed", type=int, default=7)
     chaos.add_argument("--schedule", default="ci-small",
                        help="built-in schedule name or JSON schedule file "
@@ -192,18 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("file")
 
     report = sub.add_parser(
-        "report",
-        help="render a sweep.json into a Markdown/HTML report, or "
-             "collate benchmarks/results/ into one evaluation report",
+        "report", help="render a sweep.json into a Markdown/HTML report",
     )
-    report.add_argument("sweep_json", nargs="?", default=None,
+    report.add_argument("sweep_json",
                         help="sweep result file written by "
-                             "`repro sweep --json`; omit for the legacy "
-                             "results-dir collation")
+                             "`repro sweep --json`")
     report.add_argument("--format", default="md", choices=["md", "html"],
-                        help="sweep report format (default: md)")
+                        help="report format (default: md)")
     report.add_argument("--title", default="TaMix sweep report")
-    report.add_argument("--results-dir", default="benchmarks/results")
     report.add_argument("--output", default=None,
                         help="write to a file instead of stdout")
 
@@ -250,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--protocol", default="taDOM3+", choices=ALL_PROTOCOLS)
     serve.add_argument("--lock-depth", type=int, default=4)
     serve.add_argument("--isolation", default="repeatable",
-                       choices=["none", "uncommitted", "committed",
-                                "repeatable", "serializable"])
+                       choices=_ISOLATIONS)
     serve.add_argument("--scale", type=float, default=0.1,
                        help="bib document scale (default: 0.1)")
     serve.add_argument("--seed", type=int, default=2006)
@@ -368,8 +366,7 @@ def _add_cell_arguments(parser) -> None:
     parser.add_argument("--protocol", default="taDOM3+", choices=ALL_PROTOCOLS)
     parser.add_argument("--lock-depth", type=int, default=4)
     parser.add_argument("--isolation", default="repeatable",
-                        choices=["none", "uncommitted", "committed",
-                                 "repeatable", "serializable"])
+                        choices=_ISOLATIONS)
     parser.add_argument("--scale", type=float, default=0.1)
     parser.add_argument("--seconds", type=float, default=60.0)
     parser.add_argument("--seed", type=int, default=42)
@@ -446,13 +443,14 @@ def _cmd_sweep(args) -> int:
     from pathlib import Path
 
     from repro.core.registry import depth_aware_protocols
+    from repro.errors import BenchmarkError
     from repro.tamix.sweep import SweepRunner, SweepSpec
 
     protocols = args.protocols or depth_aware_protocols()
     spec = SweepSpec(
         protocols=protocols,
         lock_depths=tuple(args.depths),
-        isolations=(args.isolation,),
+        isolations=tuple(args.isolation),
         runs_per_cell=args.runs,
         scale=args.scale,
         run_duration_ms=args.seconds * 1000.0,
@@ -462,6 +460,11 @@ def _cmd_sweep(args) -> int:
         fault_schedule=args.fault_schedule,
         chaos_seed=args.chaos_seed,
     )
+    try:
+        total = len(list(spec.cells()))
+    except BenchmarkError as exc:
+        print(f"repro sweep: {exc}", file=sys.stderr)
+        return 2
     trace_dir = args.trace_dir
     scratch = None
     if args.verify and trace_dir is None:
@@ -478,7 +481,6 @@ def _cmd_sweep(args) -> int:
                          cell_retries=args.cell_retries)
     progress = None
     if args.progress:
-        total = len(list(spec.cells()))
         state = {"done": 0}
 
         def progress(cell, outcome):
@@ -497,15 +499,22 @@ def _cmd_sweep(args) -> int:
         print(f"resumed {runner.resumed_cells} cell(s) from {args.journal}",
               file=sys.stderr)
     depths = sorted(set(args.depths))  # series values come back depth-sorted
-    for count in args.shards:
-        series = runner.series(metric="committed", isolation=args.isolation,
-                               shards=count)
-        if len(args.shards) > 1 or count > 1:
-            print(f"-- shards={count}")
-        print("protocol   " + "".join(f"d{d:<7}" for d in depths))
-        for name in protocols:
-            cells = "".join(f"{value:<8g}" for value in series.get(name, []))
-            print(f"{name:<11}" + cells)
+    for isolation in args.isolation:
+        for count in args.shards:
+            series = runner.series(metric="committed", isolation=isolation,
+                                   shards=count)
+            tags = []
+            if len(args.isolation) > 1:
+                tags.append(f"isolation={isolation}")
+            if len(args.shards) > 1 or count > 1:
+                tags.append(f"shards={count}")
+            if tags:
+                print("-- " + " ".join(tags))
+            print("protocol   " + "".join(f"d{d:<7}" for d in depths))
+            for name in protocols:
+                cells = "".join(f"{value:<8g}"
+                                for value in series.get(name, []))
+                print(f"{name:<11}" + cells)
     if args.csv:
         Path(args.csv).write_text(runner.to_csv(include_histogram=True))
         print(f"wrote {args.csv}")
@@ -661,61 +670,21 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-#: Order in which result files appear in the collated report.
-_REPORT_ORDER = (
-    "figure07_isolation", "figure08_star2pl", "figure09_synopsis",
-    "figure10_txn_types", "figure11_cluster2", "benchmark_choice",
-    "serializable_cost", "mode_profiles", "ablation_splid",
-    "ablation_level_locks", "ablation_combination_modes",
-    "ablation_buffer_pool",
-)
-
-
 def _cmd_report(args) -> int:
     from pathlib import Path
 
-    if args.sweep_json is not None:
-        from repro.tamix.sweep_report import render_html, render_markdown
+    from repro.tamix.sweep_report import render_html, render_markdown
 
-        render = render_html if args.format == "html" else render_markdown
-        body = render(args.sweep_json, title=args.title)
-        if args.output:
-            Path(args.output).write_text(body, encoding="utf-8")
-            print(f"wrote {args.output} ({len(body)} bytes)")
-        else:
-            print(body, end="")
-        return 0
-
-    results_dir = Path(args.results_dir)
-    if not results_dir.is_dir():
-        print(f"no results directory at {results_dir}; run "
-              "`pytest benchmarks/ --benchmark-only` first",
-              file=sys.stderr)
+    if not Path(args.sweep_json).is_file():
+        print(f"no sweep result file at {args.sweep_json}", file=sys.stderr)
         return 1
-    sections = []
-    seen = set()
-    for stem in _REPORT_ORDER:
-        path = results_dir / f"{stem}.txt"
-        if path.exists():
-            sections.append(path.read_text().rstrip())
-            seen.add(path.name)
-    for path in sorted(results_dir.glob("*.txt")):
-        if path.name not in seen:
-            sections.append(path.read_text().rstrip())
-    if not sections:
-        print(f"no result files in {results_dir}", file=sys.stderr)
-        return 1
-    divider = "\n\n" + "=" * 72 + "\n\n"
-    body = (
-        f"Contest of XML Lock Protocols (VLDB 2006) -- evaluation report\n"
-        f"(repro {__version__}; {len(sections)} experiments)"
-        + divider + divider.join(sections) + "\n"
-    )
+    render = render_html if args.format == "html" else render_markdown
+    body = render(args.sweep_json, title=args.title)
     if args.output:
-        Path(args.output).write_text(body)
+        Path(args.output).write_text(body, encoding="utf-8")
         print(f"wrote {args.output} ({len(body)} bytes)")
     else:
-        print(body)
+        print(body, end="")
     return 0
 
 

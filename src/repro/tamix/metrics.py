@@ -46,34 +46,6 @@ def latency_slo(durations: Sequence[float]) -> Dict[str, float]:
     return slo
 
 
-def histogram_percentile(
-    boundaries: Sequence[float], bucket_counts: Sequence[int], q: float
-) -> Optional[float]:
-    """Nearest-rank percentile from fixed histogram buckets.
-
-    ``boundaries`` are the finite upper bounds, ``bucket_counts`` has one
-    extra overflow entry (the :class:`~repro.obs.metrics.Histogram`
-    layout).  Returns the upper boundary of the bucket containing the
-    nearest-rank observation -- a conservative (upper-bound) estimate,
-    ``inf`` when the rank lands in the overflow bucket, ``None`` for an
-    empty histogram.
-    """
-    if len(bucket_counts) != len(boundaries) + 1:
-        raise ValueError("bucket_counts must have one overflow entry")
-    if not 0.0 < q <= 100.0:
-        raise ValueError(f"percentile {q} out of (0, 100]")
-    total = sum(bucket_counts)
-    if total == 0:
-        return None
-    rank = -(-q * total // 100)  # ceil without floats
-    running = 0
-    for boundary, count in zip(boundaries, bucket_counts):
-        running += count
-        if running >= rank:
-            return float(boundary)
-    return float("inf")
-
-
 @dataclass
 class TypeMetrics:
     """Counters for one transaction type."""

@@ -1,13 +1,13 @@
-"""Reporting helpers: paper-style ASCII charts for the figure benchmarks.
+"""Reporting helpers: paper-style ASCII charts for the sweep report.
 
-The evaluation figures of the paper are line charts over lock depth and
-bar charts per protocol.  These renderers produce the same shapes as
-monospace text, so the benchmark results files double as figures.
+The evaluation figures of the paper are line charts over lock depth.
+These renderers draw them, and contention heatmaps, as monospace text,
+so a rendered sweep report doubles as the figures.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 _GLYPHS = "*o+x#@%&"
 
@@ -56,25 +56,6 @@ def line_chart(
     return "\n".join(lines)
 
 
-def bar_chart(
-    values: Mapping[str, float],
-    *,
-    title: str = "",
-    width: int = 48,
-    unit: str = "",
-) -> str:
-    """Render a name -> value mapping as horizontal ASCII bars
-    (the Figure 8/11 per-protocol comparisons)."""
-    if not values:
-        return title
-    peak = max(max(values.values()), 1e-9)
-    lines = [title] if title else []
-    for name, value in values.items():
-        bar = "#" * max(1, int(round((value / peak) * width))) if value else ""
-        lines.append(f"  {name:<10} {value:10.2f} {unit:<3} |{bar}")
-    return "\n".join(lines)
-
-
 def heatmap(
     grid: Mapping[str, Mapping[object, float]],
     *,
@@ -111,21 +92,4 @@ def heatmap(
     lines.append(
         f"  scale: ' ' = 0 .. '@' = {peak:.2f} (grid peak)"
     )
-    return "\n".join(lines)
-
-
-def mode_profile_table(
-    profiles: Mapping[str, Mapping[str, int]],
-    *,
-    title: str = "",
-    top: Optional[int] = None,
-) -> str:
-    """Tabulate per-protocol lock-mode usage side by side."""
-    lines = [title] if title else []
-    for protocol, profile in profiles.items():
-        entries = sorted(profile.items(), key=lambda kv: -kv[1])
-        if top is not None:
-            entries = entries[:top]
-        rendered = "  ".join(f"{mode}={count}" for mode, count in entries)
-        lines.append(f"  {protocol:<10} {rendered}")
     return "\n".join(lines)

@@ -24,7 +24,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.registry import get_protocol
-from repro.errors import BenchmarkError
+from repro.errors import BenchmarkError, LockError
+from repro.locking import IsolationLevel
 from repro.obs import WAIT_TIME_BUCKETS_MS
 from repro.tamix.bibgen import load_bib
 from repro.tamix.cluster import run_cluster1
@@ -67,6 +68,8 @@ class CellResult:
     deadlocks: float = 0.0
     runs: int = 0
     by_type: Dict[str, float] = field(default_factory=dict)
+    #: Deadlock aborts per transaction type (Fig. 10a's reader/writer split).
+    deadlock_aborts_by_type: Dict[str, float] = field(default_factory=dict)
     #: Abort/deadlock-kind breakdown, summed over repetitions.
     aborted_by_kind: Dict[str, float] = field(default_factory=dict)
     deadlocks_by_kind: Dict[str, float] = field(default_factory=dict)
@@ -115,6 +118,8 @@ class CellResult:
             row[key] = round(slo.get(key, 0.0), 3)
         for txn_type, value in sorted(self.by_type.items()):
             row[txn_type] = round(value, 2)
+        for txn_type, value in sorted(self.deadlock_aborts_by_type.items()):
+            row[f"{txn_type}_deadlock_aborts"] = round(value, 2)
         if include_histogram:
             row["wait_histogram"] = canonical_histogram(self.wait_histogram)
         return row
@@ -156,8 +161,23 @@ class SweepSpec:
     def cells(self) -> Iterable[SweepCell]:
         if self.runs_per_cell < 1:
             raise BenchmarkError("runs_per_cell must be >= 1")
+        protos = {name: get_protocol(name) for name in self.protocols}
+        # Refuse the whole matrix up front: a bad level would otherwise
+        # surface only inside its first cell, after earlier cells ran.
+        for protocol, proto in protos.items():
+            for isolation in self.isolations:
+                try:
+                    level = IsolationLevel.parse(isolation)
+                except LockError:
+                    level = None
+                if level is None or (level is IsolationLevel.SERIALIZABLE
+                                     and not proto.supports_serializable):
+                    raise BenchmarkError(
+                        f"{protocol} does not offer isolation level "
+                        f"{isolation!r}"
+                    )
         for protocol in self.protocols:
-            proto = get_protocol(protocol)
+            proto = protos[protocol]
             depths = (
                 self.lock_depths if proto.supports_lock_depth
                 else (self.lock_depths[0],)
@@ -507,6 +527,10 @@ class SweepRunner:
         for txn_type, metrics in outcome.by_type.items():
             previous = slot.by_type.get(txn_type, 0.0)
             slot.by_type[txn_type] = (previous * n + metrics.committed) / (n + 1)
+            previous = slot.deadlock_aborts_by_type.get(txn_type, 0.0)
+            slot.deadlock_aborts_by_type[txn_type] = (
+                (previous * n + metrics.deadlock_aborts) / (n + 1)
+            )
             slot.latencies.extend(metrics.durations)
         for kind, count in outcome.aborted_by_kind.items():
             previous = slot.aborted_by_kind.get(kind, 0.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.server import SloTracker
-from repro.tamix.metrics import histogram_percentile, latency_slo, nearest_rank
+from repro.tamix.metrics import latency_slo, nearest_rank
 
 
 class TestLatencySlo:
@@ -41,24 +41,6 @@ class TestLatencySlo:
 
     def test_unsorted_input_is_sorted_by_latency_slo(self):
         assert latency_slo([3.0, 1.0, 2.0])["p50_ms"] == 2.0
-
-
-class TestHistogramPercentile:
-    def test_empty_histogram(self):
-        assert histogram_percentile((1.0, 10.0), [0, 0, 0], 50.0) is None
-
-    def test_picks_containing_bucket_upper_bound(self):
-        # 3 obs <= 1ms, 6 obs <= 10ms, 1 overflow.
-        counts = [3, 6, 1]
-        assert histogram_percentile((1.0, 10.0), counts, 30.0) == 1.0
-        assert histogram_percentile((1.0, 10.0), counts, 50.0) == 10.0
-        assert histogram_percentile((1.0, 10.0), counts, 99.0) == float("inf")
-
-    def test_shape_validated(self):
-        with pytest.raises(ValueError):
-            histogram_percentile((1.0,), [1], 50.0)
-        with pytest.raises(ValueError):
-            histogram_percentile((1.0,), [1, 0], 0.0)
 
 
 class TestSloTracker:

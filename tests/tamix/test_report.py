@@ -1,6 +1,6 @@
 """Tests for the ASCII report renderers."""
 
-from repro.tamix.report import bar_chart, line_chart, mode_profile_table
+from repro.tamix.report import line_chart
 
 
 class TestLineChart:
@@ -26,31 +26,3 @@ class TestLineChart:
     def test_all_zero_series(self):
         chart = line_chart({"a": [0, 0]}, x_labels=[0, 1])
         assert "*" in chart                   # plotted on the baseline
-
-
-class TestBarChart:
-    def test_bars_scale_to_peak(self):
-        chart = bar_chart({"Node2PL": 5.0, "taDOM3+": 10.0}, width=10)
-        lines = chart.splitlines()
-        node2pl = next(l for l in lines if "Node2PL" in l)
-        tadom = next(l for l in lines if "taDOM3+" in l)
-        assert tadom.count("#") == 10
-        assert node2pl.count("#") == 5
-
-    def test_zero_value_has_no_bar(self):
-        chart = bar_chart({"dead": 0.0, "alive": 3.0})
-        dead = next(l for l in chart.splitlines() if "dead" in l)
-        assert "#" not in dead
-
-    def test_empty(self):
-        assert bar_chart({}, title="x") == "x"
-
-
-class TestModeProfileTable:
-    def test_sorted_by_count(self):
-        table = mode_profile_table(
-            {"taDOM3+": {"IR": 100, "SX": 5, "NR": 50}}, top=2
-        )
-        row = table.splitlines()[0]
-        assert row.index("IR=100") < row.index("NR=50")
-        assert "SX" not in row                # cut by top=2

@@ -42,6 +42,31 @@ class TestSpec:
         with pytest.raises(BenchmarkError):
             list(small_spec(runs_per_cell=0).cells())
 
+    @pytest.mark.parametrize("protocols,isolation,named", [
+        (("taDOM3+", "URIX"), "serializable", "URIX"),
+        (("taDOM3+",), "bogus", "taDOM3+"),
+    ])
+    def test_bad_isolation_refused_before_any_cell_runs(
+        self, monkeypatch, protocols, isolation, named
+    ):
+        from repro.tamix import sweep
+
+        ran = []
+        monkeypatch.setattr(sweep, "_execute_cell",
+                            lambda _spec, cell, *_a: ran.append(cell))
+        spec = small_spec(protocols=protocols,
+                          isolations=("repeatable", isolation))
+        with pytest.raises(BenchmarkError) as info:
+            SweepRunner(spec).run()
+        assert named in str(info.value)
+        assert repr(isolation) in str(info.value)
+        assert ran == []
+
+    def test_serializable_accepted_for_the_tadom_group(self):
+        spec = small_spec(protocols=("taDOM2", "taDOM3+"),
+                          isolations=("serializable",))
+        assert len(list(spec.cells())) == 4
+
 
 class TestRunner:
     @pytest.fixture(scope="class")
@@ -79,6 +104,18 @@ class TestRunner:
         rows = json.loads(runner.to_json())
         assert len(rows) == 2
         assert {row["lock_depth"] for row in rows} == {0, 6}
+
+    def test_rows_carry_deadlock_aborts_per_type(self, runner):
+        for result in runner.sorted_results():
+            row = result.as_row()
+            for txn_type in result.by_type:
+                assert row[f"{txn_type}_deadlock_aborts"] == round(
+                    result.deadlock_aborts_by_type[txn_type], 2
+                )
+            assert sum(
+                value for key, value in row.items()
+                if key.endswith("_deadlock_aborts")
+            ) == pytest.approx(row["aborted_deadlock"])
 
     def test_series_for_charts(self, runner):
         series = runner.series("committed")

@@ -77,12 +77,15 @@ class TestRunner:
         assert result.aborted == 0
         assert result.deadlocks == 0
 
-    def test_protocol_choice_is_irrelevant(self, ):
+    def test_protocol_choice_is_irrelevant(self):
+        """Section 4.1: a read-only multi-user mix never deadlocks, and
+        protocol choice moves its throughput by well under 10 %
+        (``test_figures.py`` holds the TaMix half of the argument)."""
         counts = {}
-        for protocol in ("Node2PLa", "taDOM3+"):
+        for protocol in ("Node2PLa", "URIX", "taDOM3+"):
             local = generate_auction(scale=0.05, seed=3)
             result = run_xmark(protocol, info=local, clients=6,
                                run_duration_ms=5_000.0, think_ms=50.0)
+            assert result.deadlocks == 0, protocol
             counts[protocol] = result.completed_queries
-        low, high = sorted(counts.values())
-        assert high <= low * 1.1
+        assert max(counts.values()) <= min(counts.values()) * 1.1

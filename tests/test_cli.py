@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -71,6 +73,33 @@ class TestBenchCommands:
         out = capsys.readouterr().out
         assert "taDOM3+" in out
 
+    def test_sweep_over_several_isolations(self, capsys):
+        code = main([
+            "sweep", "--protocols", "taDOM3+", "--depths", "0", "6",
+            "--isolation", "none", "repeatable",
+            "--scale", "0.02", "--seconds", "8",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "-- isolation=none" in out
+        assert "-- isolation=repeatable" in out
+        assert out.count("taDOM3+ ") == 2
+
+    def test_sweep_refuses_serializable_before_running(self, capsys):
+        code = main([
+            "sweep", "--protocols", "taDOM3+", "URIX", "--depths", "4",
+            "--isolation", "serializable", "--scale", "0.02",
+            "--seconds", "8", "--progress",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "URIX" in captured.err and "serializable" in captured.err
+        assert "[1/" not in captured.err     # no cell ran
+
+    def test_sweep_isolation_choices(self):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--isolation", "bogus"])
+
     def test_cluster2_smoke(self, capsys):
         assert main(["cluster2", "--scale", "0.02"]) == 0
         out = capsys.readouterr().out
@@ -107,32 +136,28 @@ class TestXmark:
 
 
 class TestReport:
-    def test_collates_result_files(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "figure09_synopsis.txt").write_text("FIG9 DATA")
-        (results / "extra_experiment.txt").write_text("EXTRA DATA")
-        assert main(["report", "--results-dir", str(results)]) == 0
-        out = capsys.readouterr().out
-        assert "evaluation report" in out
-        assert out.index("FIG9 DATA") < out.index("EXTRA DATA")
-
     def test_report_to_file(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "figure11_cluster2.txt").write_text("F11")
-        target = tmp_path / "REPORT.txt"
-        assert main(["report", "--results-dir", str(results),
-                     "--output", str(target)]) == 0
-        assert "F11" in target.read_text()
+        spec_b = Path(__file__).resolve().parents[1] / "experiments" / \
+            "isolation.json"
+        target = tmp_path / "REPORT.md"
+        assert main(["report", str(spec_b), "--output", str(target)]) == 0
+        assert f"wrote {target}" in capsys.readouterr().out
+        text = target.read_text()
+        for level in ("none", "uncommitted", "committed", "repeatable",
+                      "serializable"):
+            assert f"Committed transactions -- isolation {level}" in text
 
-    def test_missing_results_dir(self, tmp_path):
-        assert main(["report", "--results-dir", str(tmp_path / "nope")]) == 1
+    def test_missing_sweep_json_is_one_line(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path / "missing.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"no sweep result file at {tmp_path / 'missing.json'}"
+        ]
 
-    def test_empty_results_dir(self, tmp_path):
-        empty = tmp_path / "results"
-        empty.mkdir()
-        assert main(["report", "--results-dir", str(empty)]) == 1
+    def test_sweep_json_is_required(self):
+        with pytest.raises(SystemExit):
+            main(["report"])
 
 
 class TestParser:
