@@ -1,17 +1,15 @@
 """Command-line interface: run the paper's experiments from the shell.
 
-::
+One command per job -- run a matrix, serve, load, check, inspect::
 
-    python -m repro info
-    python -m repro cluster1 --protocol taDOM3+ --lock-depth 4
-    python -m repro cluster2
+    python -m repro info taDOM2                 # Figures 3a/4 of a protocol
+    python -m repro sweep --protocols URIX --depths 4
     python -m repro sweep --isolation none repeatable --depths 0 2 4 6
-    python -m repro sweep --depths 2 4 --verify
-    python -m repro trace --protocol taDOM2 --output trace.jsonl
+    python -m repro sweep --depths 2 4 --verify --trace-dir traces
     python -m repro verify traces/ --crash
-    python -m repro metrics --protocol taDOM3+ --format json
-    python -m repro query document.xml "//book[@year='1993']/title/text()"
-    python -m repro stats document.xml
+    python -m repro serve --port 7420
+    python -m repro loadgen --connect 127.0.0.1:7420
+    python -m repro telemetry --connect 127.0.0.1:7420 --follow 0
 """
 
 from __future__ import annotations
@@ -22,11 +20,8 @@ from typing import List, Optional
 
 from repro import __version__
 from repro.core import ALL_PROTOCOLS, GROUPS, group_of
-from repro.dom import parse_document, serialize_subtree
 from repro.locking import IsolationLevel
-from repro.query import evaluate_raw
-from repro.splid import Splid
-from repro.tamix import run_cluster1, run_cluster2
+from repro.tamix import run_cluster2
 
 _ISOLATIONS = [level.value for level in IsolationLevel]
 
@@ -38,23 +33,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("info", help="version and protocol inventory")
-
-    c1 = sub.add_parser("cluster1", help="one CLUSTER1 benchmark run")
-    c1.add_argument("--protocol", default="taDOM3+", choices=ALL_PROTOCOLS)
-    c1.add_argument("--lock-depth", type=int, default=4)
-    c1.add_argument("--isolation", default="repeatable",
-                    choices=_ISOLATIONS)
-    c1.add_argument("--scale", type=float, default=0.1)
-    c1.add_argument("--seconds", type=float, default=60.0)
-    c1.add_argument("--seed", type=int, default=42)
+    info = sub.add_parser(
+        "info",
+        help="version and protocol inventory; with a protocol, its lock "
+             "matrices (the paper's figures)",
+    )
+    info.add_argument("protocol", nargs="?", default=None,
+                      choices=ALL_PROTOCOLS,
+                      help="print this protocol's compatibility and "
+                           "conversion matrices for every lock space")
 
     c2 = sub.add_parser("cluster2", help="CLUSTER2 delete times, all protocols")
     c2.add_argument("--scale", type=float, default=0.1)
     c2.add_argument("--seed", type=int, default=7)
 
-    sweep = sub.add_parser("sweep", help="lock-depth sweep (figure 9/10 style)")
+    sweep = sub.add_parser(
+        "sweep",
+        help="CLUSTER1 over protocol x lock depth x isolation (the paper's "
+             "test plan); a one-cell matrix also prints that cell's row",
+    )
     sweep.add_argument("--protocols", nargs="*", default=None,
+                       choices=ALL_PROTOCOLS,
                        help="default: all depth-aware protocols")
     sweep.add_argument("--depths", nargs="*", type=int,
                        default=[0, 1, 2, 3, 4, 5, 6, 7])
@@ -150,50 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run twice and require identical fault points, "
                             "retry counts, and final verified state")
 
-    trace = sub.add_parser(
-        "trace",
-        help="run one CLUSTER1 cell with event tracing; write a JSONL trace",
-    )
-    _add_cell_arguments(trace)
-    trace.add_argument("--output", default="trace.jsonl",
-                       help="JSONL trace file (default: trace.jsonl)")
-    trace.add_argument("--verify", action="store_true",
-                       help="replay the written trace and check its "
-                            "aggregated counters against the run metrics")
-    trace.add_argument("--access-events", action="store_true",
-                       help="also record op.access/run.info events so "
-                            "`repro verify` can check the trace")
-
-    metrics = sub.add_parser(
-        "metrics",
-        help="run one CLUSTER1 cell and dump the metrics registry",
-    )
-    _add_cell_arguments(metrics)
-    metrics.add_argument("--format", default="text",
-                         choices=["text", "json", "csv"])
-    metrics.add_argument("--output", default=None,
-                         help="write to a file instead of stdout")
-
-    modes = sub.add_parser(
-        "modes", help="print a protocol's lock matrices (the paper's figures)"
-    )
-    modes.add_argument("protocol", choices=ALL_PROTOCOLS)
-    modes.add_argument("--space", default=None,
-                       help="lock space (default: all spaces)")
-
-    xmark = sub.add_parser(
-        "xmark", help="the unsuitable benchmark: read-only XMark-style mix"
-    )
-    xmark.add_argument("--scale", type=float, default=0.1)
-    xmark.add_argument("--seconds", type=float, default=20.0)
-
-    query = sub.add_parser("query", help="evaluate a path expression on an XML file")
-    query.add_argument("file")
-    query.add_argument("path")
-
-    stats = sub.add_parser("stats", help="storage statistics for an XML file")
-    stats.add_argument("file")
-
     report = sub.add_parser(
         "report", help="render a sweep.json into a Markdown/HTML report",
     )
@@ -231,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="analyze a JSONL event trace: blocking chains, hotspots, "
              "critical path",
     )
-    analyze.add_argument("trace", help="JSONL trace file (from `repro "
-                                       "trace` or `repro sweep --trace-dir`)")
+    analyze.add_argument("trace", help="JSONL trace file (from "
+                                       "`repro sweep --trace-dir`)")
     analyze.add_argument("--prefix-depth", type=int, default=2,
                          help="SPLID divisions for subtree hotspot "
                               "grouping (default: 2)")
@@ -274,9 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--connect", default=None, metavar="HOST:PORT",
                          help="drive a live server (default: deterministic "
                               "in-process simulation)")
-    loadgen.add_argument("--sim", action="store_true",
-                         help="force the deterministic in-process mode "
-                              "(the default when --connect is absent)")
     loadgen.add_argument("--clients", type=int, default=100,
                          help="concurrent simulated clients (default: 100)")
     loadgen.add_argument("--duration-ms", type=float, default=10_000.0,
@@ -313,81 +265,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     telemetry = sub.add_parser(
         "telemetry",
-        help="scrape a server's windowed telemetry series (or render one "
-             "from a deterministic sim run)",
+        help="scrape a server's windowed telemetry series, or follow its "
+             "live windows as a terminal dashboard (SUBSCRIBE)",
     )
-    telemetry.add_argument("--connect", default=None, metavar="HOST:PORT",
-                           help="scrape a live server (default: run the "
-                                "seeded in-process simulation and render "
-                                "its series -- byte-identical per seed)")
+    telemetry.add_argument("--connect", required=True, metavar="HOST:PORT",
+                           help="the server to read")
     telemetry.add_argument("--prom", action="store_true",
                            help="Prometheus text exposition of the "
                                 "cumulative snapshot instead of JSON")
-    telemetry.add_argument("--json", action="store_true",
-                           help="force JSON output (the default)")
     telemetry.add_argument("--output", default=None, metavar="FILE",
                            help="write to a file instead of stdout")
-    telemetry.add_argument("--seed", type=int, default=2006,
-                           help="sim mode: loadgen seed (default: 2006)")
-    telemetry.add_argument("--scale", type=float, default=0.05,
-                           help="sim mode: bib document scale")
-    telemetry.add_argument("--clients", type=int, default=20,
-                           help="sim mode: simulated clients (default: 20)")
-    telemetry.add_argument("--duration-ms", type=float, default=4_000.0,
-                           help="sim mode: arrival window, simulated ms")
-    telemetry.add_argument("--rate", type=float, default=200.0,
-                           help="sim mode: offered load, txn/s")
-    telemetry.add_argument("--window-ms", type=float, default=1_000.0,
-                           help="sim mode: telemetry window, simulated ms")
-    telemetry.add_argument("--protocol", default="taDOM3+",
-                           choices=ALL_PROTOCOLS,
-                           help="sim mode: lock protocol")
-    telemetry.add_argument("--lock-depth", type=int, default=4,
-                           help="sim mode: lock depth")
-
-    top = sub.add_parser(
-        "top",
-        help="live terminal dashboard over a server's telemetry stream "
-             "(SUBSCRIBE)",
-    )
-    top.add_argument("--connect", required=True, metavar="HOST:PORT",
-                     help="the server to watch")
-    top.add_argument("--windows", type=int, default=0, metavar="N",
-                     help="stop after N windows (default: until Ctrl-C)")
-    top.add_argument("--no-clear", action="store_true",
-                     help="append each window instead of redrawing "
-                          "(useful for logs/pipes)")
+    telemetry.add_argument("--follow", type=int, default=None, metavar="N",
+                           help="stream N rendered windows instead of one "
+                                "scrape (0 = until Ctrl-C); redraws in "
+                                "place only on a terminal")
 
     return parser
-
-
-def _add_cell_arguments(parser) -> None:
-    """Shared knobs for commands that run one CLUSTER1 cell."""
-    parser.add_argument("--protocol", default="taDOM3+", choices=ALL_PROTOCOLS)
-    parser.add_argument("--lock-depth", type=int, default=4)
-    parser.add_argument("--isolation", default="repeatable",
-                        choices=_ISOLATIONS)
-    parser.add_argument("--scale", type=float, default=0.1)
-    parser.add_argument("--seconds", type=float, default=60.0)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--wal", action="store_true",
-                        help="enable write-ahead logging (adds wal.* "
-                             "metrics)")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
         "info": _cmd_info,
-        "cluster1": _cmd_cluster1,
         "cluster2": _cmd_cluster2,
         "sweep": _cmd_sweep,
-        "trace": _cmd_trace,
-        "metrics": _cmd_metrics,
-        "modes": _cmd_modes,
-        "xmark": _cmd_xmark,
-        "query": _cmd_query,
-        "stats": _cmd_stats,
         "report": _cmd_report,
         "analyze": _cmd_analyze,
         "verify": _cmd_verify,
@@ -395,7 +296,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serve": _cmd_serve,
         "loadgen": _cmd_loadgen,
         "telemetry": _cmd_telemetry,
-        "top": _cmd_top,
     }[args.command]
     return handler(args)
 
@@ -403,31 +303,20 @@ def main(argv: Optional[List[str]] = None) -> int:
 # -- commands -----------------------------------------------------------------
 
 
-def _cmd_info(_args) -> int:
+def _cmd_info(args) -> int:
+    if args.protocol is not None:
+        from repro.core import get_protocol
+
+        for space, table in get_protocol(args.protocol).tables().items():
+            print(f"=== lock space: {space} ===")
+            print(table.format_compatibility())
+            print()
+            print(table.format_conversions())
+            print()
+        return 0
     print(f"repro {__version__} -- Contest of XML Lock Protocols (VLDB 2006)")
     for group, members in GROUPS.items():
         print(f"  {group:<8} {', '.join(members)}")
-    return 0
-
-
-def _cmd_cluster1(args) -> int:
-    result = run_cluster1(
-        args.protocol,
-        lock_depth=args.lock_depth,
-        isolation=args.isolation,
-        scale=args.scale,
-        run_duration_ms=args.seconds * 1000.0,
-        seed=args.seed,
-    )
-    print(result.summary())
-    print(f"  deadlock kinds : {result.deadlocks_by_kind}")
-    print(f"  lock stats     : {result.lock_stats}")
-    for name, metrics in sorted(result.by_type.items()):
-        if metrics.durations:
-            print(
-                f"  {name:<17} avg={metrics.avg_duration:8.1f} ms  "
-                f"min={metrics.min_duration:8.1f}  max={metrics.max_duration:8.1f}"
-            )
     return 0
 
 
@@ -515,6 +404,12 @@ def _cmd_sweep(args) -> int:
                 cells = "".join(f"{value:<8g}"
                                 for value in series.get(name, []))
                 print(f"{name:<11}" + cells)
+    if total == args.runs:  # a one-cell matrix: print that cell's row too
+        for result in runner.sorted_results():
+            row = result.as_row()
+            width = max(map(len, row))
+            for name, value in row.items():
+                print(f"{name:<{width}} {value}")
     if args.csv:
         Path(args.csv).write_text(runner.to_csv(include_histogram=True))
         print(f"wrote {args.csv}")
@@ -538,135 +433,6 @@ def _cmd_sweep(args) -> int:
             scratch.cleanup()
         if failed:
             return 1
-    return 0
-
-
-def _run_observed_cell(args, *, sink=None):
-    """Run one CLUSTER1 cell with observability enabled."""
-    from repro.obs import Observability
-    from repro.tamix.cluster import run_cluster1 as run_cell
-
-    obs = Observability.enabled(
-        capacity=None, sink=sink,
-        access_events=getattr(args, "access_events", False),
-    )
-    result = run_cell(
-        args.protocol,
-        lock_depth=args.lock_depth,
-        isolation=args.isolation,
-        scale=args.scale,
-        run_duration_ms=args.seconds * 1000.0,
-        seed=args.seed,
-        observability=obs,
-        enable_wal=getattr(args, "wal", False),
-    )
-    obs.close()
-    return obs, result
-
-
-def _cmd_trace(args) -> int:
-    obs, result = _run_observed_cell(args, sink=args.output)
-    print(result.summary())
-    print(f"wrote {args.output} ({len(obs.tracer.events())} events)")
-    for kind, count in sorted(obs.tracer.counts_by_kind().items()):
-        print(f"  {kind:<20} {count}")
-    if args.verify:
-        from repro.obs import aggregate, load_jsonl
-
-        totals = aggregate(load_jsonl(args.output))
-        checks = [
-            ("committed", totals.get("committed", 0), result.committed),
-            ("aborted.deadlock", totals.get("aborted.deadlock", 0),
-             result.aborted_by_kind["deadlock"]),
-            ("aborted.timeout", totals.get("aborted.timeout", 0),
-             result.aborted_by_kind["timeout"]),
-            ("lock waits", totals.get("lock.block", 0),
-             result.lock_stats["waits"]),
-        ]
-        failed = False
-        for label, from_trace, from_metrics in checks:
-            ok = from_trace == from_metrics
-            failed = failed or not ok
-            print(f"  verify {label:<18} trace={from_trace:<6} "
-                  f"metrics={from_metrics:<6} {'ok' if ok else 'MISMATCH'}")
-        if failed:
-            return 1
-    return 0
-
-
-def _cmd_metrics(args) -> int:
-    from pathlib import Path
-
-    obs, result = _run_observed_cell(args)
-    registry = obs.metrics
-    if args.format == "json":
-        body = registry.to_json() + "\n"
-    elif args.format == "csv":
-        body = registry.to_csv()
-    else:
-        lines = [result.summary()]
-        for name, value in registry.as_dict().items():
-            if isinstance(value, dict):  # histogram
-                lines.append(f"  {name:<24} count={value['count']} "
-                             f"mean={value['mean']:.2f} max={value['max']:.2f}")
-                lines.append(f"    buckets: {value['buckets']}")
-            else:
-                lines.append(f"  {name:<24} {value}")
-        body = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(body)
-        print(f"wrote {args.output}")
-    else:
-        print(body, end="")
-    return 0
-
-
-def _cmd_modes(args) -> int:
-    from repro.core import get_protocol
-
-    protocol = get_protocol(args.protocol)
-    for space, table in protocol.tables().items():
-        if args.space is not None and space != args.space:
-            continue
-        print(f"=== lock space: {space} ===")
-        print(table.format_compatibility())
-        print()
-        print(table.format_conversions())
-        print()
-    return 0
-
-
-def _cmd_xmark(args) -> int:
-    from repro.tamix.xmark import generate_auction, run_xmark
-
-    print("read-only XMark-style mix (Section 4.1: cannot stress the "
-          "lock manager)")
-    for name in ("Node2PLa", "URIX", "taDOM3+"):
-        info = generate_auction(scale=args.scale)
-        result = run_xmark(name, info=info,
-                           run_duration_ms=args.seconds * 1000.0)
-        print(f"  {name:<9} queries={result.completed_queries:<6} "
-              f"waits={result.lock_waits:<4} deadlocks={result.deadlocks}")
-    return 0
-
-
-def _cmd_query(args) -> int:
-    with open(args.file, encoding="utf-8") as handle:
-        document = parse_document(handle.read())
-    result = evaluate_raw(document, args.path)
-    for item in result:
-        if isinstance(item, Splid):
-            print(serialize_subtree(document, item))
-        else:
-            print(item)
-    return 0 if result else 1
-
-
-def _cmd_stats(args) -> int:
-    with open(args.file, encoding="utf-8") as handle:
-        document = parse_document(handle.read())
-    for key, value in sorted(document.statistics().items()):
-        print(f"{key:<22} {value:,.2f}")
     return 0
 
 
@@ -834,9 +600,6 @@ def _cmd_loadgen(args) -> int:
     from repro.chaos.retry import AdmissionPolicy, RetryPolicy
     from repro.net.loadgen import LoadGenConfig, render_report, run
 
-    if args.connect and args.sim:
-        print("--connect and --sim are mutually exclusive", file=sys.stderr)
-        return 2
     if args.connect:
         target = _parse_connect(args.connect)
         if target is None:
@@ -877,7 +640,9 @@ def _cmd_loadgen(args) -> int:
 def _parse_connect(value: str):
     """``HOST:PORT`` -> ``(host, port)`` or ``None`` on bad input."""
     host, _sep, port = value.rpartition(":")
-    if not host or not port.isdigit():
+    if not host or not (port.isascii() and port.isdigit()):
+        return None
+    if not 1 <= int(port) <= 65535:
         return None
     return host, int(port)
 
@@ -886,33 +651,23 @@ def _cmd_telemetry(args) -> int:
     import json as json_module
     from pathlib import Path
 
+    from repro.net.client import RemoteDatabase
     from repro.obs import render_prometheus
 
-    if args.connect:
-        from repro.net.client import RemoteDatabase
-
-        target = _parse_connect(args.connect)
-        if target is None:
-            print(f"bad --connect {args.connect!r} (want HOST:PORT)",
+    target = _parse_connect(args.connect)
+    if target is None:
+        print(f"bad --connect {args.connect!r} (want HOST:PORT)",
+              file=sys.stderr)
+        return 2
+    if args.follow is not None:
+        if args.follow < 0 or args.prom or args.output:
+            print("--follow takes N >= 0 and renders to the terminal; "
+                  "--prom and --output apply to a one-shot scrape",
                   file=sys.stderr)
             return 2
-        with RemoteDatabase(*target, client_name="repro-telemetry") as db:
-            payload = db.telemetry()
-    else:
-        from repro.net.loadgen import LoadGenConfig, run_sim
-
-        report = run_sim(LoadGenConfig(
-            mode="sim",
-            clients=args.clients,
-            duration_ms=args.duration_ms,
-            rate_tps=args.rate,
-            seed=args.seed,
-            scale=args.scale,
-            protocol=args.protocol,
-            lock_depth=args.lock_depth,
-            telemetry_window_ms=args.window_ms,
-        ))
-        payload = report["telemetry"]
+        return _follow_windows(target, args.follow)
+    with RemoteDatabase(*target, client_name="repro-telemetry") as db:
+        payload = db.telemetry()
     if args.prom:
         body = render_prometheus(payload.get("snapshot") or {})
     else:
@@ -925,7 +680,7 @@ def _cmd_telemetry(args) -> int:
     return 0
 
 
-def _render_top_window(window, prev=None) -> str:
+def _render_window(window, prev=None) -> str:
     """One dashboard frame from a closed telemetry window."""
     counters = window.get("counters") or {}
     gauges = window.get("gauges") or {}
@@ -937,7 +692,7 @@ def _render_top_window(window, prev=None) -> str:
     aborted = counters.get("server.aborted", 0)
     requests = counters.get("server.requests", 0)
     lines = [
-        f"repro top -- window #{window['index']} "
+        f"repro telemetry -- window #{window['index']} "
         f"[{window['t_start_ms']:.0f}..{window['t_end_ms']:.0f} ms]",
         f"  throughput   {committed / duration_s:8.1f} commit/s   "
         f"{requests / duration_s:8.1f} req/s",
@@ -981,18 +736,16 @@ def _render_top_window(window, prev=None) -> str:
     return "\n".join(lines)
 
 
-def _cmd_top(args) -> int:
+def _follow_windows(target, windows: int) -> int:
+    """Stream ``windows`` dashboard frames (0 = until Ctrl-C)."""
     from repro.net.client import RemoteDatabase
 
-    target = _parse_connect(args.connect)
-    if target is None:
-        print(f"bad --connect {args.connect!r} (want HOST:PORT)",
-              file=sys.stderr)
-        return 2
-    remaining = args.windows if args.windows > 0 else None
+    # Redraw in place on a terminal; append frames in logs and pipes.
+    clear = "\x1b[2J\x1b[H" if sys.stdout.isatty() else ""
+    remaining = windows if windows > 0 else None
     prev = None
     try:
-        with RemoteDatabase(*target, client_name="repro-top") as db:
+        with RemoteDatabase(*target, client_name="repro-telemetry") as db:
             while remaining is None or remaining > 0:
                 # SUBSCRIBE streams in bounded batches so an open-ended
                 # watch never asks the server for an unbounded stream.
@@ -1000,12 +753,9 @@ def _cmd_top(args) -> int:
                 streamed = 0
                 for window in db.subscribe(batch):
                     streamed += 1
-                    frame = _render_top_window(window, prev)
+                    frame = _render_window(window, prev)
                     prev = window
-                    if args.no_clear:
-                        print(frame, flush=True)
-                    else:
-                        print(f"\x1b[2J\x1b[H{frame}", flush=True)
+                    print(f"{clear}{frame}", flush=True)
                 if db.last_dropped_windows:
                     # The server skipped windows because this consumer
                     # fell behind -- say so instead of silently showing

@@ -10,9 +10,10 @@ Components publish in two ways:
   collector callback copies them into the registry when a snapshot is
   taken, so the hot path itself pays nothing new.
 
-Snapshots (:meth:`MetricsRegistry.as_dict`) are plain nested dicts; CSV
-and JSON exports feed the CLI's ``repro metrics`` subcommand and the
-TaMix sweep reports.
+Snapshots (:meth:`MetricsRegistry.as_dict`) are plain nested dicts,
+exported as JSON or CSV (:meth:`MetricsRegistry.to_json`,
+:meth:`MetricsRegistry.to_csv`); the lock-wait histogram feeds the
+TaMix sweep rows (``repro sweep --json``) and their reports.
 """
 
 from __future__ import annotations

@@ -40,6 +40,10 @@ HISTOGRAM_BUCKET_ORDER: Tuple[str, ...] = tuple(
 ) + ("le_inf",)
 
 
+#: Isolation levels weakest first, as :class:`IsolationLevel` declares them.
+_ISOLATION_RANK = {level: rank for rank, level in enumerate(IsolationLevel)}
+
+
 def canonical_histogram(buckets: Dict[str, int]) -> Dict[str, int]:
     """Bucket counts in canonical order, zero-filled for absent buckets."""
     return {key: int(buckets.get(key, 0)) for key in HISTOGRAM_BUCKET_ORDER}
@@ -159,11 +163,35 @@ class SweepSpec:
     chaos_seed: int = 0
 
     def cells(self) -> Iterable[SweepCell]:
+        from repro.shard.runner import TRANSPORTS
+
+        # Refuse out-of-range knobs before any cell runs: each would
+        # otherwise fail deep inside a cell or run silently to nonsense.
         if self.runs_per_cell < 1:
             raise BenchmarkError("runs_per_cell must be >= 1")
+        if not self.lock_depths or min(self.lock_depths) < 0:
+            raise BenchmarkError(
+                f"lock depths must be one or more values >= 0 "
+                f"(got {list(self.lock_depths)})"
+            )
+        if self.scale <= 0:
+            raise BenchmarkError(f"scale must be > 0 (got {self.scale})")
+        if self.run_duration_ms <= 0:
+            raise BenchmarkError(
+                f"run duration must be > 0 ms (got {self.run_duration_ms})"
+            )
+        if any(count < 1 for count in self.shards):
+            raise BenchmarkError(
+                f"shard counts must be >= 1 (got {list(self.shards)})"
+            )
+        if self.shard_transport not in TRANSPORTS:
+            raise BenchmarkError(
+                f"unknown shard transport {self.shard_transport!r} "
+                f"(expected one of {sorted(TRANSPORTS)})"
+            )
         protos = {name: get_protocol(name) for name in self.protocols}
-        # Refuse the whole matrix up front: a bad level would otherwise
-        # surface only inside its first cell, after earlier cells ran.
+        # Likewise a bad level would surface only inside its first cell,
+        # after earlier cells ran.
         for protocol, proto in protos.items():
             for isolation in self.isolations:
                 try:
@@ -447,11 +475,14 @@ class SweepRunner:
             pool.shutdown(wait=False, cancel_futures=True)
 
     def sorted_results(self) -> List[CellResult]:
+        """Rows by protocol, then isolation in strength order (the
+        declaration order of :class:`IsolationLevel`), depth and shards."""
         return [
             self.results[key]
             for key in sorted(
                 self.results,
-                key=lambda k: (k[0], k[2], k[1], k[3] if len(k) > 3 else 1),
+                key=lambda k: (k[0], _ISOLATION_RANK[IsolationLevel.parse(k[2])],
+                               k[1], k[3] if len(k) > 3 else 1),
             )
         ]
 

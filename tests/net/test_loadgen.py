@@ -36,7 +36,7 @@ GOLDEN = json.loads(
     .read_text(encoding="utf-8")
 )
 
-#: The seeded sim runs the golden file pins: CI's ``repro loadgen --sim``
+#: The seeded sim runs the golden file pins: CI's sim ``repro loadgen``
 #: arguments, and an overloaded run where admission QUEUE back-offs,
 #: SHEDs and client-side restarts all occur.
 GOLDEN_CONFIGS = {

@@ -164,6 +164,21 @@ class TestCellTraceMatchesMetrics:
         assert histogram["count"] >= 0
 
 
+def test_wal_gauges_appear_in_metrics_dump():
+    """A cell run with the write-ahead log publishes its wal.* and the
+    buffer pool's gauges through the registry's collectors."""
+    from repro.tamix.cluster import run_cluster1
+
+    obs = Observability.enabled(capacity=None)
+    run_cluster1("taDOM2", scale=0.02, run_duration_ms=4_000.0, seed=42,
+                 observability=obs, enable_wal=True)
+    obs.close()
+    dump = obs.metrics.to_csv()
+    for gauge in ("wal.appends", "wal.flushes", "buffer.pool_size",
+                  "buffer.hit_ratio"):
+        assert f"\n{gauge}," in dump
+
+
 class TestStaticDispatch:
     """Instrumentation is selected when a tracer is bound, not checked
     per call: a disabled tracer must leave the uninstrumented

@@ -67,6 +67,46 @@ class TestSpec:
                           isolations=("serializable",))
         assert len(list(spec.cells())) == 4
 
+    @pytest.mark.parametrize("overrides,named", [
+        (dict(lock_depths=(4, -1)), "lock depths"),
+        (dict(lock_depths=()), "lock depths"),
+        (dict(scale=0.0), "scale"),
+        (dict(scale=-0.1), "scale"),
+        (dict(run_duration_ms=0.0), "run duration"),
+        (dict(run_duration_ms=-5_000.0), "run duration"),
+        (dict(shards=(1, 0)), "shard counts"),
+        (dict(shard_transport="pigeon"), "shard transport"),
+    ])
+    def test_out_of_range_knobs_refused_before_any_cell_runs(
+        self, monkeypatch, overrides, named
+    ):
+        from repro.tamix import sweep
+
+        ran = []
+        monkeypatch.setattr(sweep, "_execute_cell",
+                            lambda _spec, cell, *_a: ran.append(cell))
+        with pytest.raises(BenchmarkError, match=named):
+            SweepRunner(small_spec(**overrides)).run()
+        assert ran == []
+
+
+class TestOrder:
+    def test_isolation_levels_sort_weakest_first(self):
+        from repro.locking import IsolationLevel
+        from repro.tamix.sweep import CellResult
+
+        runner = SweepRunner(small_spec())
+        for level in sorted(level.value for level in IsolationLevel):
+            for depth in (6, 0):
+                runner.results[("taDOM3+", depth, level, 1)] = CellResult(
+                    SweepCell("taDOM3+", depth, level)
+                )
+        cells = [result.cell for result in runner.sorted_results()]
+        assert [cell.isolation for cell in cells[::2]] == [
+            "none", "uncommitted", "committed", "repeatable", "serializable",
+        ]
+        assert [cell.lock_depth for cell in cells[:2]] == [0, 6]
+
 
 class TestRunner:
     @pytest.fixture(scope="class")

@@ -1,23 +1,24 @@
 """Tests for the command-line interface."""
 
+import argparse
+import json
+import re
 from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.tamix import run_cluster1
+from tests.net.conftest import make_server
 
-XML = (
-    '<bib><topic id="t1"><book id="b1" year="1993">'
-    "<title>TP</title></book>"
-    '<book id="b2" year="2002"><title>XML</title></book></topic></bib>'
-)
+ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture
-def xml_file(tmp_path):
-    path = tmp_path / "doc.xml"
-    path.write_text(XML)
-    return str(path)
+def row_of(out: str) -> dict:
+    """The ``name value`` lines a one-cell sweep prints under its table
+    (later lines win, so the row's ``protocol`` beats the table header)."""
+    return dict(line.split() for line in out.splitlines()
+                if len(line.split()) == 2)
 
 
 class TestInfo:
@@ -28,41 +29,34 @@ class TestInfo:
             assert name in out
 
 
-class TestQuery:
-    def test_node_result(self, xml_file, capsys):
-        assert main([
-            "query", xml_file, "//book[@year='1993']/title/text()",
-        ]) == 0
-        assert capsys.readouterr().out.strip() == "TP"
-
-    def test_element_result_serialized(self, xml_file, capsys):
-        assert main(["query", xml_file, "//book[@id='b2']"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("<book")
-        assert "XML" in out
-
-    def test_empty_result_exit_code(self, xml_file):
-        assert main(["query", xml_file, "//missing"]) == 1
-
-
-class TestStats:
-    def test_prints_statistics(self, xml_file, capsys):
-        assert main(["stats", xml_file]) == 0
-        out = capsys.readouterr().out
-        assert "nodes" in out
-        assert "document_occupancy" in out
-
-
 class TestBenchCommands:
     def test_cluster1_smoke(self, capsys):
+        """One CLUSTER1 cell is a one-cell sweep, which prints its row."""
         code = main([
-            "cluster1", "--protocol", "taDOM3+", "--scale", "0.02",
-            "--seconds", "8", "--lock-depth", "6",
+            "sweep", "--protocols", "taDOM3+", "--scale", "0.02",
+            "--seconds", "8", "--depths", "6",
         ])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "committed=" in out
-        assert "lock stats" in out
+        row = row_of(capsys.readouterr().out)
+        assert row["protocol"] == "taDOM3+"
+        assert row["lock_depth"] == "6"
+        for name in ("committed", "p99_ms", "deadlocks_conversion",
+                     "wait_mean_ms", "TAlendAndReturn"):
+            assert name in row
+
+    @pytest.mark.parametrize("protocol,depth", [("URIX", 3), ("taDOM3+", 4)])
+    def test_one_cell_sweep_matches_run_cluster1(self, capsys, protocol,
+                                                 depth):
+        assert main([
+            "sweep", "--protocols", protocol, "--depths", str(depth),
+            "--scale", "0.02", "--seconds", "8", "--seed", "42",
+        ]) == 0
+        row = row_of(capsys.readouterr().out)
+        result = run_cluster1(protocol, lock_depth=depth, scale=0.02,
+                              run_duration_ms=8_000.0, seed=42)
+        assert float(row["committed"]) == result.committed
+        assert float(row["aborted"]) == result.aborted
+        assert float(row["deadlocks"]) == result.deadlocks
 
     def test_sweep_smoke(self, capsys):
         code = main([
@@ -72,6 +66,7 @@ class TestBenchCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "taDOM3+" in out
+        assert "wait_mean_ms" not in out     # two cells: no row dump
 
     def test_sweep_over_several_isolations(self, capsys):
         code = main([
@@ -100,6 +95,21 @@ class TestBenchCommands:
         with pytest.raises(SystemExit):
             main(["sweep", "--isolation", "bogus"])
 
+    @pytest.mark.parametrize("knob,named", [
+        (["--depths", "-1"], "lock depths"),
+        (["--scale", "0"], "scale"),
+        (["--shards", "0"], "shard counts"),
+        (["--seconds", "-5"], "run duration"),
+    ], ids=["depth", "scale", "shards", "seconds"])
+    def test_sweep_refuses_out_of_range_knobs(self, capsys, knob, named):
+        args = ["sweep", "--protocols", "taDOM3+", "--depths", "4",
+                "--scale", "0.02", "--seconds", "8", "--progress"]
+        assert main(args + knob) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro sweep: {named}")
+        assert len(captured.err.splitlines()) == 1   # no traceback
+        assert "[1/" not in captured.err             # no cell ran
+
     def test_cluster2_smoke(self, capsys):
         assert main(["cluster2", "--scale", "0.02"]) == 0
         out = capsys.readouterr().out
@@ -108,31 +118,25 @@ class TestBenchCommands:
 
 
 class TestModes:
+    """``info PROTOCOL`` prints the protocol's lock matrices."""
+
     def test_prints_figure_3a_and_4(self, capsys):
-        assert main(["modes", "taDOM2", "--space", "node"]) == 0
+        assert main(["info", "taDOM2"]) == 0
         out = capsys.readouterr().out
         assert "taDOM2 compatibility" in out
         assert "CX[NR]" in out          # the subscripted Figure 4 cell
 
     def test_all_spaces_by_default(self, capsys):
-        assert main(["modes", "URIX"]) == 0
+        assert main(["info", "URIX"]) == 0
         out = capsys.readouterr().out
         assert "lock space: node" in out
         assert "lock space: edge" in out
 
     def test_twenty_modes_of_tadom3_plus(self, capsys):
-        assert main(["modes", "taDOM3+", "--space", "node"]) == 0
+        assert main(["info", "taDOM3+"]) == 0
         out = capsys.readouterr().out
         for mode in ("NX", "LRIX", "SRCX", "NUIX"):
             assert mode in out
-
-
-class TestXmark:
-    def test_xmark_smoke(self, capsys):
-        assert main(["xmark", "--scale", "0.02", "--seconds", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "deadlocks=0" in out
-        assert "taDOM3+" in out
 
 
 class TestReport:
@@ -143,9 +147,12 @@ class TestReport:
         assert main(["report", str(spec_b), "--output", str(target)]) == 0
         assert f"wrote {target}" in capsys.readouterr().out
         text = target.read_text()
-        for level in ("none", "uncommitted", "committed", "repeatable",
-                      "serializable"):
-            assert f"Committed transactions -- isolation {level}" in text
+        sections = [
+            text.index(f"Committed transactions -- isolation {level}")
+            for level in ("none", "uncommitted", "committed", "repeatable",
+                          "serializable")
+        ]
+        assert sections == sorted(sections)     # weakest level first
 
     def test_missing_sweep_json_is_one_line(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "missing.json")]) == 1
@@ -167,7 +174,7 @@ class TestParser:
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(SystemExit):
-            main(["cluster1", "--protocol", "nope"])
+            main(["sweep", "--protocols", "nope"])
 
 
 class TestSweepObservability:
@@ -244,20 +251,6 @@ class TestSweepObservability:
         assert "lock waits" in out
 
 
-class TestWalMetrics:
-    def test_wal_gauges_appear_in_metrics_dump(self, capsys):
-        code = main([
-            "metrics", "--protocol", "taDOM2", "--scale", "0.02",
-            "--seconds", "4", "--wal",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "wal.appends" in out
-        assert "wal.flushes" in out
-        assert "buffer.pool_size" in out
-        assert "buffer.hit_ratio" in out
-
-
 class TestVerifyCommand:
     def test_sweep_verify_passes(self, capsys):
         code = main([
@@ -270,12 +263,13 @@ class TestVerifyCommand:
         assert "conformance=ok" in out
 
     def test_verify_trace_with_access_events(self, tmp_path, capsys):
-        trace = tmp_path / "trace.jsonl"
         assert main([
-            "trace", "--protocol", "taDOM2", "--scale", "0.02",
-            "--seconds", "8", "--access-events", "--output", str(trace),
+            "sweep", "--protocols", "taDOM2", "--depths", "4",
+            "--scale", "0.02", "--seconds", "8", "--verify",
+            "--trace-dir", str(tmp_path),
         ]) == 0
         capsys.readouterr()
+        trace = tmp_path / "taDOM2_d4_repeatable_r0.jsonl"
         assert main(["verify", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "PASS protocol=taDOM2" in out
@@ -287,12 +281,13 @@ class TestVerifyCommand:
         assert "crash suite: PASS" in out
 
     def test_verify_wrong_protocol_fails(self, tmp_path, capsys):
-        trace = tmp_path / "trace.jsonl"
         assert main([
-            "trace", "--protocol", "taDOM3+", "--scale", "0.02",
-            "--seconds", "8", "--access-events", "--output", str(trace),
+            "sweep", "--protocols", "taDOM3+", "--depths", "4",
+            "--scale", "0.02", "--seconds", "8", "--verify",
+            "--trace-dir", str(tmp_path),
         ]) == 0
         capsys.readouterr()
+        trace = tmp_path / "taDOM3+_d4_repeatable_r0.jsonl"
         assert main(["verify", str(trace), "--protocol", "Node2PL"]) == 1
         assert "conformance=violated" in capsys.readouterr().out
 
@@ -302,10 +297,17 @@ class TestVerifyCommand:
 
 
 class TestTelemetryCommand:
+    #: A seeded sim loadgen run; its report carries the telemetry payload.
     SIM_ARGS = [
-        "telemetry", "--scale", "0.02", "--clients", "5",
-        "--duration-ms", "1500", "--rate", "100", "--window-ms", "500",
+        "loadgen", "--scale", "0.02", "--clients", "5",
+        "--duration-ms", "2500", "--rate", "100",
     ]
+
+    @pytest.fixture(scope="class")
+    def server(self):
+        handle = make_server(telemetry_window_ms=50.0)
+        yield f"127.0.0.1:{handle.port}"
+        handle.shutdown()
 
     def test_sim_json_is_byte_identical(self, tmp_path, capsys):
         first = tmp_path / "a.json"
@@ -314,28 +316,206 @@ class TestTelemetryCommand:
         assert main(self.SIM_ARGS + ["--output", str(second)]) == 0
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
+        assert json.loads(first.read_text())["telemetry"]["windows"]
 
     def test_sim_json_payload_shape(self, capsys):
         assert main(self.SIM_ARGS) == 0
-        out = capsys.readouterr().out
-        import json
-
-        payload = json.loads(out)
+        payload = json.loads(capsys.readouterr().out)["telemetry"]
         assert payload["version"] == 1
-        assert payload["window_ms"] == 500.0
+        assert payload["window_ms"] == 1000.0
         assert payload["windows"], "sim run should close windows"
         assert "txn.committed" in payload["snapshot"]["counters"]
 
-    def test_prom_rendering(self, capsys):
-        assert main(self.SIM_ARGS + ["--prom"]) == 0
+    def test_prom_rendering(self, server, capsys):
+        assert main(["telemetry", "--connect", server, "--prom"]) == 0
         out = capsys.readouterr().out
-        assert "# TYPE repro_txn_committed_total counter" in out
-        assert 'repro_lock_wait_ms_bucket{le="+Inf"}' in out
+        assert "# TYPE repro_server_requests_total counter" in out
+        assert 'repro_server_request_ms_bucket{le="+Inf"}' in out
 
-    def test_bad_connect_rejected(self, capsys):
-        assert main(["telemetry", "--connect", "nonsense"]) == 2
+    def test_json_scrape(self, server, capsys):
+        assert main(["telemetry", "--connect", server]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["window_ms"] == 50.0
+
+    def test_follow_streams_windows(self, server, capsys):
+        assert main(["telemetry", "--connect", server, "--follow", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("repro telemetry -- window #") == 2
+        assert "\x1b[" not in out          # no screen clearing in a pipe
+        assert "throughput" in out
+
+    @pytest.mark.parametrize("extra", [
+        ["--follow", "1", "--prom"],
+        ["--follow", "1", "--output", "frames.txt"],
+        ["--follow", "-1"],
+    ], ids=["prom", "output", "negative"])
+    def test_follow_refuses_bad_combinations(self, server, capsys, extra):
+        assert main(["telemetry", "--connect", server] + extra) == 2
+        assert "--follow" in capsys.readouterr().err
+
+    def test_connect_is_required(self):
+        with pytest.raises(SystemExit):
+            main(["telemetry"])
+
+    @pytest.mark.parametrize("command", ["telemetry", "loadgen"])
+    @pytest.mark.parametrize("value", [
+        pytest.param("nonsense", id="no-port"),
+        pytest.param("h:", id="empty-port"),
+        pytest.param(":7420", id="no-host"),
+        pytest.param("h:\u00b2", id="superscript-digit"),
+        pytest.param("h:\u0967\u0968", id="devanagari-digits"),
+        pytest.param("h:+80", id="signed-port"),
+        pytest.param("h:0", id="port-0"),
+        pytest.param("h:65536", id="port-65536"),
+        pytest.param("h:99999", id="port-99999"),
+    ])
+    def test_bad_connect_rejected(self, capsys, command, value):
+        assert main([command, "--connect", value]) == 2
         assert "bad --connect" in capsys.readouterr().err
 
     def test_top_bad_connect_rejected(self, capsys):
-        assert main(["top", "--connect", "nonsense"]) == 2
+        """The dashboard path (``--follow``) checks the address too."""
+        assert main(["telemetry", "--connect", "nonsense",
+                     "--follow", "2"]) == 2
         assert "bad --connect" in capsys.readouterr().err
+
+
+def subcommands(parser: argparse.ArgumentParser) -> dict:
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestInventory:
+    """The CLI's surface, pinned: a new option has to be written here."""
+
+    INVENTORY = {
+        "analyze": "--prefix-depth --top trace",
+        "chaos": "--chaos-seed --check-determinism --isolation --json "
+                 "--lock-depth --protocol --scale --schedule --seconds "
+                 "--seed --shard-transport --shards --trace",
+        "cluster2": "--scale --seed",
+        "info": "protocol",
+        "loadgen": "--admission --arrival --clients --connect --duration-ms "
+                   "--lock-depth --no-retry --output --pool-size --protocol "
+                   "--rate --scale --seed --think-dist --think-ms --zipf",
+        "report": "--format --output --title sweep_json",
+        "serve": "--admission --host --isolation --lock-depth "
+                 "--max-pressure --max-seconds --port --protocol --scale "
+                 "--seed --wait-timeout-ms --wal",
+        "sweep": "--cell-retries --cell-timeout --chaos-seed --csv --depths "
+                 "--fault-schedule --isolation --journal --json --progress "
+                 "--protocols --resume --runs --scale --seconds --seed "
+                 "--shard-transport --shards --stop-after --trace-dir "
+                 "--verify --workers",
+        "telemetry": "--connect --follow --output --prom",
+        "verify": "--crash --lock-depth --max-violations --protocol target",
+    }
+
+    def test_pinned_inventory(self):
+        found = sorted(
+            f"{name} {(action.option_strings or [action.dest])[-1]}"
+            for name, sub in subcommands(build_parser()).items()
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+        )
+        expected = sorted(f"{name} {option}"
+                          for name, options in self.INVENTORY.items()
+                          for option in options.split())
+        assert found == expected
+        assert len(found) == 82
+
+
+#: A ``repro <command>`` invocation at the start of a shell command,
+#: after an optional prompt, environment assignments and ``python -m``;
+#: the rest of the command runs up to a shell separator or comment.
+COMMAND = re.compile(
+    r"(?:^|&&|;|\|)\s*(?:\$\s+)?(?:[A-Z_]+=\S*\s+)*"
+    r"(?:python3?\s+-m\s+)?repro\s+([a-z][\w-]*)([^|;&#\n]*)",
+    re.MULTILINE,
+)
+FLAG = re.compile(r"(?<![\w-])(--[a-z][\w-]*)")
+FENCE = re.compile(r"^\s*```[^\n]*\n(.*?)^\s*```", re.MULTILINE | re.DOTALL)
+SPAN = re.compile(r"(?<!`)`([^`]+)`(?!`)")
+RUN_STEP = re.compile(r"^(\s*)(?:- )?run:\s*(.*)$")
+
+
+def markdown_snippets(text: str):
+    """Fenced blocks and code spans (a span may wrap across lines)."""
+    yield from FENCE.findall(text)
+    for span in SPAN.findall(FENCE.sub("", text)):
+        yield span.replace("\n", " ")
+
+
+def workflow_snippets(text: str):
+    """The shell of every ``run:`` step; folded (``>``) blocks joined."""
+    lines = text.splitlines()
+    for index, line in enumerate(lines):
+        match = RUN_STEP.match(line)
+        if not match:
+            continue
+        indent, head = len(match.group(1)), match.group(2)
+        if head[:1] not in ("|", ">"):
+            yield head
+            continue
+        body = []
+        for following in lines[index + 1:]:
+            if following.strip() and (
+                len(following) - len(following.lstrip()) <= indent
+            ):
+                break
+            body.append(following.strip())
+        yield (" " if head.startswith(">") else "\n").join(body)
+
+
+def documented_commands():
+    """``(source, command, flags)`` for every documented invocation."""
+    sources = [ROOT / ".github" / "workflows" / "ci.yml"]
+    skipped = {"CHANGES.md", "ROADMAP.md", "ISSUE.md"}
+    for path in sorted(ROOT.rglob("*.md")):
+        parts = path.relative_to(ROOT).parts
+        hidden = any(part.startswith(".") and part not in (".claude",)
+                     for part in parts[:-1])
+        if not hidden and path.relative_to(ROOT).as_posix() not in skipped:
+            sources.append(path)
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        snippets = (workflow_snippets(text) if path.suffix == ".yml"
+                    else markdown_snippets(text))
+        for snippet in snippets:
+            for match in COMMAND.finditer(snippet.replace("\\\n", " ")):
+                yield (path.relative_to(ROOT).as_posix(), match.group(1),
+                       FLAG.findall(match.group(2)))
+
+
+class TestDocumentedCommandLines:
+    def test_every_documented_command_line_parses(self):
+        commands = subcommands(build_parser())
+        stale = []
+        seen = 0
+        for source, name, flags in documented_commands():
+            seen += 1
+            if name not in commands:
+                stale.append(f"{source}: repro {name}")
+                continue
+            known = set(commands[name]._option_string_actions)
+            stale.extend(f"{source}: repro {name} {flag}"
+                         for flag in flags if flag not in known)
+        assert seen > 50            # the scan does find the docs' commands
+        assert stale == []
+
+    def test_scan_catches_a_stale_flag(self):
+        text = "```console\n$ repro telemetry --connect h:1 \\\n    --json\n```"
+        (match,) = COMMAND.finditer(
+            next(markdown_snippets(text)).replace("\\\n", " ")
+        )
+        assert match.group(1) == "telemetry"
+        assert FLAG.findall(match.group(2)) == ["--connect", "--json"]
+
+    def test_folded_workflow_step_is_one_command(self):
+        text = ("      - name: x\n        run: >\n"
+                "          python -m repro sweep\n          --depths 4\n"
+                "      - name: y\n")
+        assert list(workflow_snippets(text)) == [
+            "python -m repro sweep --depths 4"
+        ]
