@@ -471,12 +471,14 @@ def workflow_snippets(text: str):
 def documented_commands():
     """``(source, command, flags)`` for every documented invocation."""
     sources = [ROOT / ".github" / "workflows" / "ci.yml"]
-    skipped = {"CHANGES.md", "ROADMAP.md", "ISSUE.md"}
+    # The other root-level documents are change logs and plans, which
+    # quote retired command lines on purpose.
+    root_docs = {"README.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md"}
     for path in sorted(ROOT.rglob("*.md")):
         parts = path.relative_to(ROOT).parts
         hidden = any(part.startswith(".") and part not in (".claude",)
                      for part in parts[:-1])
-        if not hidden and path.relative_to(ROOT).as_posix() not in skipped:
+        if not hidden and (len(parts) > 1 or parts[0] in root_docs):
             sources.append(path)
     for path in sources:
         text = path.read_text(encoding="utf-8")
