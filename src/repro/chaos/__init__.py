@@ -16,8 +16,9 @@ Three cooperating pieces:
   new work under restart pressure).
 
 :func:`run_chaos` ties it together: a seeded TaMix workload under a
-fault schedule, verified with the history oracle and bit-identical WAL
-recovery.  See ``docs/robustness.md``.
+fault schedule, on one node or on a shard plane, verified with the
+history oracle and bit-identical WAL recovery.  See
+``docs/robustness.md``.
 """
 
 from repro.chaos.engine import ChaosEngine
@@ -50,7 +51,7 @@ __all__ = [
     "ADMIT",
     "QUEUE",
     "SHED",
-    "ChaosRunReport",
+    "ChaosReport",
     "run_chaos",
 ]
 
@@ -60,7 +61,7 @@ def __getattr__(name):
     # and repro.tamix.coordinator imports repro.chaos.retry.  Loading the
     # runner lazily (PEP 562) keeps this package importable from inside
     # the coordinator without a cycle.
-    if name in ("run_chaos", "ChaosRunReport"):
+    if name in ("run_chaos", "ChaosReport"):
         from repro.chaos import runner
 
         return getattr(runner, name)

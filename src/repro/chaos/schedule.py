@@ -60,6 +60,11 @@ SITES = (
     "net.request", "net.reply", "shard.crash",
 )
 
+#: The sites one database fires: :meth:`ChaosEngine.install` hooks its
+#: buffer pool and lock manager.  The network and crash sites need a
+#: shard plane (``repro.shard.SHARD_CHAOS_SITES``).
+NODE_SITES = ("page.read", "page.write", "lock.acquire")
+
 #: Valid fault kinds per site.
 KINDS_BY_SITE = {
     "page.read": ("transient", "permanent", "latency"),
@@ -159,6 +164,15 @@ class FaultSchedule:
 
     def rules_for(self, site: str) -> tuple:
         return tuple(rule for rule in self.rules if rule.site == site)
+
+    def check_sites(self, allowed: Sequence[str], stack: str) -> None:
+        """Refuse rules at sites ``stack`` cannot fire: they never would."""
+        bad = sorted({rule.site for rule in self.rules} - set(allowed))
+        if bad:
+            raise ChaosError(
+                f"{stack} fires only sites {tuple(allowed)}; "
+                f"schedule {self.name or '<inline>'!r} also targets {bad}"
+            )
 
     def to_dict(self) -> dict:
         data: dict = {"rules": [rule.to_dict() for rule in self.rules]}

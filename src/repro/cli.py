@@ -74,13 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="how sharded cells host their shards: the "
                             "deterministic simulated network or real "
                             "OS processes (results are identical)")
-    sweep.add_argument("--fault-schedule", default=None,
-                       help="fault schedule (built-in name or JSON path) "
-                            "applied to sharded cells; uses the "
-                            "net.request/net.reply/shard.crash sites")
-    sweep.add_argument("--chaos-seed", type=int, default=0,
-                       help="chaos engine base seed for faulted sharded "
-                            "cells (default: 0)")
     sweep.add_argument("--workers", type=int, default=1,
                        help="worker processes for the sweep cells "
                             "(1 = serial; results are identical)")
@@ -346,8 +339,6 @@ def _cmd_sweep(args) -> int:
         base_seed=args.seed,
         shards=tuple(args.shards),
         shard_transport=args.shard_transport,
-        fault_schedule=args.fault_schedule,
-        chaos_seed=args.chaos_seed,
     )
     try:
         total = len(list(spec.cells()))
@@ -495,38 +486,29 @@ def _cmd_chaos(args) -> int:
     from pathlib import Path
 
     from repro.chaos import load_schedule, run_chaos
-
-    schedule = load_schedule(args.schedule)
+    from repro.errors import BenchmarkError, ChaosError
 
     def one_run():
-        if args.shards > 1:
-            from repro.shard.chaosrun import run_shard_chaos
-
-            return run_shard_chaos(
-                schedule,
-                seed=args.seed,
-                protocol=args.protocol,
-                lock_depth=args.lock_depth,
-                isolation=args.isolation,
-                shards=args.shards,
-                scale=args.scale,
-                run_duration_ms=args.seconds * 1000.0,
-                transport=args.shard_transport,
-                trace_path=args.trace,
-                chaos_seed=args.chaos_seed,
-            )
         return run_chaos(
             schedule,
             seed=args.seed,
             protocol=args.protocol,
             lock_depth=args.lock_depth,
             isolation=args.isolation,
+            shards=args.shards,
+            transport=args.shard_transport,
             scale=args.scale,
             run_duration_ms=args.seconds * 1000.0,
             trace_path=args.trace,
+            chaos_seed=args.chaos_seed,
         )
 
-    report = one_run()
+    try:
+        schedule = load_schedule(args.schedule)
+        report = one_run()
+    except (BenchmarkError, ChaosError) as exc:
+        print(f"repro chaos: {exc}", file=sys.stderr)
+        return 2
     print(report.summary())
     for site, rate in sorted(report.injection_rates.items()):
         ops = report.faults
@@ -567,6 +549,10 @@ def _cmd_serve(args) -> int:
     from repro.chaos.retry import AdmissionPolicy
     from repro.net.server import ServerConfig, run_server
 
+    if not 0 <= args.port <= 65535:  # 0 asks the OS for a free port
+        print(f"repro serve: port must be 0-65535 (got {args.port})",
+              file=sys.stderr)
+        return 2
     admission = None
     if args.admission:
         admission = AdmissionPolicy(max_pressure=args.max_pressure)
@@ -598,6 +584,7 @@ def _cmd_loadgen(args) -> int:
     from pathlib import Path
 
     from repro.chaos.retry import AdmissionPolicy, RetryPolicy
+    from repro.errors import BenchmarkError
     from repro.net.loadgen import LoadGenConfig, render_report, run
 
     if args.connect:
@@ -609,25 +596,29 @@ def _cmd_loadgen(args) -> int:
         mode, (host, port) = "live", target
     else:
         mode, host, port = "sim", "127.0.0.1", 7420
-    config = LoadGenConfig(
-        mode=mode,
-        clients=args.clients,
-        duration_ms=args.duration_ms,
-        rate_tps=args.rate,
-        arrival=args.arrival,
-        think_ms=args.think_ms,
-        think_dist=args.think_dist,
-        zipf_s=args.zipf,
-        seed=args.seed,
-        retry=None if args.no_retry else RetryPolicy(),
-        host=host,
-        port=port,
-        pool_size=args.pool_size,
-        protocol=args.protocol,
-        lock_depth=args.lock_depth,
-        scale=args.scale,
-        admission=AdmissionPolicy() if args.admission else None,
-    )
+    try:
+        config = LoadGenConfig(
+            mode=mode,
+            clients=args.clients,
+            duration_ms=args.duration_ms,
+            rate_tps=args.rate,
+            arrival=args.arrival,
+            think_ms=args.think_ms,
+            think_dist=args.think_dist,
+            zipf_s=args.zipf,
+            seed=args.seed,
+            retry=None if args.no_retry else RetryPolicy(),
+            host=host,
+            port=port,
+            pool_size=args.pool_size,
+            protocol=args.protocol,
+            lock_depth=args.lock_depth,
+            scale=args.scale,
+            admission=AdmissionPolicy() if args.admission else None,
+        )
+    except BenchmarkError as exc:
+        print(f"repro loadgen: {exc}", file=sys.stderr)
+        return 2
     rendered = render_report(run(config))
     if args.output:
         Path(args.output).write_text(rendered + "\n")

@@ -49,6 +49,7 @@ from repro.chaos.retry import AdmissionPolicy, RetryPolicy
 from repro.database import Database
 from repro.errors import (
     AdmissionRejected,
+    BenchmarkError,
     ProtocolError,
     ReproError,
     TransactionAborted,
@@ -151,12 +152,18 @@ class LoadGenConfig:
     #: series instead.
     telemetry_window_ms: float = 1_000.0
 
+    def __post_init__(self):
+        # An empty run would end at once with a report that looks clean.
+        for name in ("clients", "duration_ms", "rate_tps"):
+            if getattr(self, name) <= 0:
+                raise BenchmarkError(
+                    f"{name} must be > 0 (got {getattr(self, name)})"
+                )
+
     def resolved_pool_size(self) -> int:
         return self.pool_size if self.pool_size > 0 else min(self.clients, 64)
 
     def mean_interarrival_ms(self) -> float:
-        if self.rate_tps <= 0 or self.clients < 1:
-            raise ValueError("rate_tps and clients must be positive")
         return self.clients * 1000.0 / self.rate_tps
 
 

@@ -9,7 +9,6 @@ determinism contract.
 """
 
 from repro.shard.chaos import ChaosTransport
-from repro.shard.chaosrun import ShardChaosReport, run_shard_chaos
 from repro.shard.partition import PARTITION_LEVEL, PartitionPlan, plan_partitions
 from repro.shard.router import (
     CrossShardDetector,
@@ -37,7 +36,6 @@ __all__ = [
     "ChaosTransport",
     "CrossShardDetector",
     "LogicalTxn",
-    "ShardChaosReport",
     "ShardedDatabase",
     "ShardedNodeManager",
     "ShardRouter",
@@ -45,7 +43,6 @@ __all__ = [
     "SHARD_CHAOS_SITES",
     "TRANSPORTS",
     "build_sharded_cluster",
-    "run_shard_chaos",
     "run_sharded_cluster1",
     "shard_config",
     "validate_sharding",

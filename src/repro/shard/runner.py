@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 
 from repro.chaos.retry import RetryPolicy
 from repro.core.registry import get_protocol
-from repro.errors import BenchmarkError, ChaosError
+from repro.errors import BenchmarkError
 from repro.shard.partition import PARTITION_LEVEL, plan_partitions
 from repro.shard.router import ShardedDatabase
 from repro.shard.transport import ProcessTransport, SimTransport
@@ -161,16 +161,8 @@ def build_sharded_cluster(
             f"(expected one of {sorted(TRANSPORTS)})"
         )
     engine = None
-    if fault_schedule is not None and fault_schedule:
-        bad = sorted(
-            {rule.site for rule in fault_schedule.rules}
-            - set(SHARD_CHAOS_SITES)
-        )
-        if bad:
-            raise ChaosError(
-                f"sharded chaos only supports sites {SHARD_CHAOS_SITES}; "
-                f"schedule also targets {bad}"
-            )
+    if fault_schedule is not None:
+        fault_schedule.check_sites(SHARD_CHAOS_SITES, "the shard plane")
     info = load_bib(scale)
     plan = plan_partitions(info.document, shards)
 
@@ -207,7 +199,7 @@ def build_sharded_cluster(
         if tmp is not None:
             tmp.cleanup()
         raise
-    if fault_schedule is not None and fault_schedule:
+    if fault_schedule is not None:
         from repro.chaos.engine import ChaosEngine
         from repro.shard.chaos import ChaosTransport
 
@@ -237,9 +229,6 @@ def run_sharded_cluster1(
     rtt_ms: float = 0.1,
     retry: Optional[RetryPolicy] = None,
     wait_timeout_ms: Optional[float] = 10_000.0,
-    fault_schedule=None,
-    chaos_seed: int = 0,
-    request_timeout_s: Optional[float] = None,
 ) -> RunResult:
     """One sharded CLUSTER1 run; returns the paper's metrics.
 
@@ -249,9 +238,6 @@ def run_sharded_cluster1(
     OS process.  Both speak the identical message protocol, and because
     shards take all timing from message-carried clocks, both produce
     the same results for the same seed.
-
-    ``fault_schedule``/``chaos_seed`` put the shard transport under
-    seeded network/crash chaos (see :func:`build_sharded_cluster`).
     """
     validate_sharding(protocol, lock_depth, shards)
     if shards == 1:
@@ -265,8 +251,6 @@ def run_sharded_cluster1(
         isolation=isolation, scale=scale, observability=observability,
         transport=transport, rtt_ms=rtt_ms,
         wait_timeout_ms=wait_timeout_ms,
-        fault_schedule=fault_schedule, chaos_seed=chaos_seed,
-        request_timeout_s=request_timeout_s,
     )
     try:
         tamix = TaMixConfig(

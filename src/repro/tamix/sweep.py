@@ -153,59 +153,17 @@ class SweepSpec:
     #: Transport for sharded cells (``sim`` or ``process``); both are
     #: deterministic and produce identical results for the same seed.
     shard_transport: str = "sim"
-    #: Fault schedule for sharded cells: a built-in name or a JSON file
-    #: path (kept as a string so worker processes can pickle the spec).
-    #: Only ``net.request``/``net.reply``/``shard.crash`` sites apply;
-    #: ``None`` runs fault-free.  Single-node cells ignore it.
-    fault_schedule: Optional[str] = None
-    #: Chaos engine seed for faulted sharded cells (independent of the
-    #: workload seed so fault placement can be varied separately).
-    chaos_seed: int = 0
 
     def cells(self) -> Iterable[SweepCell]:
-        from repro.shard.runner import TRANSPORTS
-
-        # Refuse out-of-range knobs before any cell runs: each would
-        # otherwise fail deep inside a cell or run silently to nonsense.
         if self.runs_per_cell < 1:
             raise BenchmarkError("runs_per_cell must be >= 1")
-        if not self.lock_depths or min(self.lock_depths) < 0:
-            raise BenchmarkError(
-                f"lock depths must be one or more values >= 0 "
-                f"(got {list(self.lock_depths)})"
-            )
-        if self.scale <= 0:
-            raise BenchmarkError(f"scale must be > 0 (got {self.scale})")
-        if self.run_duration_ms <= 0:
-            raise BenchmarkError(
-                f"run duration must be > 0 ms (got {self.run_duration_ms})"
-            )
-        if any(count < 1 for count in self.shards):
-            raise BenchmarkError(
-                f"shard counts must be >= 1 (got {list(self.shards)})"
-            )
-        if self.shard_transport not in TRANSPORTS:
-            raise BenchmarkError(
-                f"unknown shard transport {self.shard_transport!r} "
-                f"(expected one of {sorted(TRANSPORTS)})"
-            )
-        protos = {name: get_protocol(name) for name in self.protocols}
-        # Likewise a bad level would surface only inside its first cell,
-        # after earlier cells ran.
-        for protocol, proto in protos.items():
-            for isolation in self.isolations:
-                try:
-                    level = IsolationLevel.parse(isolation)
-                except LockError:
-                    level = None
-                if level is None or (level is IsolationLevel.SERIALIZABLE
-                                     and not proto.supports_serializable):
-                    raise BenchmarkError(
-                        f"{protocol} does not offer isolation level "
-                        f"{isolation!r}"
-                    )
+        validate_knobs(
+            self.protocols, self.lock_depths, self.isolations,
+            scale=self.scale, run_duration_ms=self.run_duration_ms,
+            shards=self.shards, transport=self.shard_transport,
+        )
         for protocol in self.protocols:
-            proto = protos[protocol]
+            proto = get_protocol(protocol)
             depths = (
                 self.lock_depths if proto.supports_lock_depth
                 else (self.lock_depths[0],)
@@ -219,6 +177,56 @@ class SweepSpec:
                             yield SweepCell(
                                 protocol, depth, isolation, run, count
                             )
+
+
+def validate_knobs(
+    protocols: Sequence[str],
+    lock_depths: Sequence[int],
+    isolations: Sequence[str],
+    *,
+    scale: float,
+    run_duration_ms: float,
+    shards: Sequence[int],
+    transport: str,
+) -> None:
+    """Refuse out-of-range knobs of sweeps and chaos runs before any run.
+
+    Each would otherwise fail deep inside a run, after earlier runs
+    finished, or run silently to nonsense.
+    """
+    from repro.shard.runner import TRANSPORTS
+
+    if not lock_depths or min(lock_depths) < 0:
+        raise BenchmarkError(
+            f"lock depths must be one or more values >= 0 "
+            f"(got {list(lock_depths)})"
+        )
+    if scale <= 0:
+        raise BenchmarkError(f"scale must be > 0 (got {scale})")
+    if run_duration_ms <= 0:
+        raise BenchmarkError(
+            f"run duration must be > 0 ms (got {run_duration_ms})"
+        )
+    if any(count < 1 for count in shards):
+        raise BenchmarkError(f"shard counts must be >= 1 (got {list(shards)})")
+    if transport not in TRANSPORTS:
+        raise BenchmarkError(
+            f"unknown shard transport {transport!r} "
+            f"(expected one of {sorted(TRANSPORTS)})"
+        )
+    for protocol in protocols:
+        proto = get_protocol(protocol)
+        for isolation in isolations:
+            try:
+                level = IsolationLevel.parse(isolation)
+            except LockError:
+                level = None
+            if level is None or (level is IsolationLevel.SERIALIZABLE
+                                 and not proto.supports_serializable):
+                raise BenchmarkError(
+                    f"{protocol} does not offer isolation level "
+                    f"{isolation!r}"
+                )
 
 
 def shardable(protocol: str, lock_depth: int) -> bool:
@@ -269,11 +277,6 @@ def _execute_cell(
         if cell.shards > 1:
             from repro.shard.runner import run_sharded_cluster1
 
-            fault_schedule = None
-            if spec.fault_schedule:
-                from repro.chaos.schedule import load_schedule
-
-                fault_schedule = load_schedule(spec.fault_schedule)
             return run_sharded_cluster1(
                 cell.protocol,
                 shards=cell.shards,
@@ -284,8 +287,6 @@ def _execute_cell(
                 seed=spec.base_seed + cell.run,
                 observability=observability,
                 transport=spec.shard_transport,
-                fault_schedule=fault_schedule,
-                chaos_seed=spec.chaos_seed + cell.run,
             )
         return run_cluster1(
             cell.protocol,

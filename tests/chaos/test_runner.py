@@ -63,6 +63,15 @@ class TestInvariantsUnderFaults:
         assert other.ok, other.violations
         assert other.fingerprint != report.fingerprint
 
+    def test_chaos_seed_moves_only_the_faults(self, report):
+        other = run_chaos(load_schedule("ci-small"), SEED,
+                          chaos_seed=SEED + 1, **KWARGS)
+        assert other.ok, other.violations
+        assert other.faults != report.faults
+        assert other.fingerprint != report.fingerprint
+        assert other.to_dict()["chaos_seed"] == SEED + 1
+        assert "chaos_seed" not in report.to_dict()
+
 
 class TestTraceCapture:
     def test_trace_records_chaos_events(self, tmp_path):
@@ -74,3 +83,15 @@ class TestTraceCapture:
         assert report.ok, report.violations
         kinds = {event.kind for event in load_jsonl(trace)}
         assert CHAOS_FAULT in kinds
+
+
+class TestShardedRun:
+    def test_empty_schedule_runs_fault_free(self):
+        from repro.chaos import FaultSchedule
+
+        report = run_chaos(FaultSchedule(name="empty"), SEED, shards=2,
+                           scale=0.02, run_duration_ms=2_000.0)
+        assert report.ok, report.violations
+        assert report.faults == {}
+        assert report.committed > 0
+        assert report.to_dict()["shards"] == 2

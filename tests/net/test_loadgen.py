@@ -199,3 +199,14 @@ class TestReport:
         report = run(cfg)
         text = render_report(report)
         assert text == render_report(json.loads(text))
+
+
+class TestConfigRefusals:
+    @pytest.mark.parametrize("knob", [
+        dict(clients=0), dict(duration_ms=0.0), dict(rate_tps=0.0),
+    ], ids=["clients", "duration", "rate"])
+    def test_an_empty_run_is_refused_when_built(self, knob):
+        from repro.errors import BenchmarkError
+
+        with pytest.raises(BenchmarkError):
+            LoadGenConfig(**dict(SIM_CFG, **knob))

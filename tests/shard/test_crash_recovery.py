@@ -14,11 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.chaos import FaultRule, FaultSchedule, load_schedule
+from repro.chaos import FaultRule, FaultSchedule, load_schedule, run_chaos
 from repro.errors import StorageError
 from repro.net import wire
 from repro.shard import build_sharded_cluster, messages
-from repro.shard.chaosrun import run_shard_chaos
 from repro.shard.shard import ShardServer
 from repro.tamix.cluster import CLUSTER1_MIX
 from repro.tamix.coordinator import TaMixConfig, TaMixCoordinator
@@ -26,7 +25,7 @@ from repro.txn.wal import WalFile, WriteAheadLog
 
 
 def crash_run(transport="sim", seed=7):
-    return run_shard_chaos(
+    return run_chaos(
         load_schedule("shard-kill"), seed=seed, shards=2, scale=0.05,
         run_duration_ms=4_000.0, transport=transport,
     )

@@ -11,11 +11,10 @@ re-admission, shedding traffic locally in between.
 
 import pytest
 
-from repro.chaos import load_schedule
+from repro.chaos import load_schedule, run_chaos
 from repro.errors import ReproError, ShardUnavailableError, TransientError
 from repro.net import wire
 from repro.shard import build_sharded_cluster, messages
-from repro.shard.chaosrun import run_shard_chaos
 from repro.shard.router import FAILURE_THRESHOLD
 
 
@@ -116,7 +115,7 @@ class TestRouterPartitionAwareness:
 
 class TestRunAccounting:
     def test_crash_aborts_are_typed_and_retried(self):
-        report = run_shard_chaos(
+        report = run_chaos(
             load_schedule("shard-kill"), seed=7, shards=2, scale=0.05,
             run_duration_ms=4_000.0,
         )

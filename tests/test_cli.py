@@ -380,6 +380,62 @@ class TestTelemetryCommand:
         assert "bad --connect" in capsys.readouterr().err
 
 
+def refused(capsys, argv, command) -> str:
+    """Run a command that must refuse its input: exit 2, one stderr line."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"repro {command}: ")
+    assert len(captured.err.splitlines()) == 1   # no traceback
+    return captured.err
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("knobs,named", [
+        (["--scale", "0"], "scale"),
+        (["--seconds", "-1"], "run duration"),
+        (["--lock-depth", "-1"], "lock depths"),
+        (["--shards", "0"], "shard counts"),
+        (["--shards", "2", "--protocol", "Node2PL"], "protocol Node2PL"),
+        (["--shards", "2", "--lock-depth", "1"], "sharded runs need"),
+        (["--isolation", "serializable", "--protocol", "Node2PL"],
+         "Node2PL does not offer"),
+        (["--schedule", "no-such-schedule"], "unknown schedule"),
+        (["--shards", "2", "--schedule", "ci-small"], "the shard plane"),
+        (["--schedule", "shard-kill"], "one node fires only"),
+    ], ids=["scale", "seconds", "depth", "shards", "root-navigating",
+            "shallow-shards", "isolation", "unknown-schedule",
+            "node-sites-on-shards", "shard-sites-on-one-node"])
+    def test_chaos_refuses_before_building_a_stack(
+        self, capsys, monkeypatch, knobs, named
+    ):
+        from repro.chaos import runner
+
+        def built(*args, **kwargs):
+            raise AssertionError("a stack was built for a refused run")
+
+        monkeypatch.setattr(runner, "make_database", built)
+        monkeypatch.setattr(runner, "build_sharded_cluster", built)
+        err = refused(capsys, ["chaos", "--seconds", "1", *knobs], "chaos")
+        assert named in err
+
+    @pytest.mark.parametrize("port", ["99999", "65536", "-1"])
+    def test_serve_refuses_ports_outside_the_tcp_range(self, capsys, port):
+        err = refused(
+            capsys, ["serve", "--port", port, "--max-seconds", "1"], "serve"
+        )
+        assert "port must be 0-65535" in err
+
+    @pytest.mark.parametrize("knob,named", [
+        (["--clients", "0"], "clients"),
+        (["--duration-ms", "0"], "duration"),
+        (["--rate", "-5"], "rate"),
+    ], ids=["clients", "duration", "rate"])
+    def test_loadgen_refuses_an_empty_run(self, capsys, knob, named):
+        err = refused(capsys, ["loadgen", "--duration-ms", "100", *knob],
+                      "loadgen")
+        assert named in err
+
+
 def subcommands(parser: argparse.ArgumentParser) -> dict:
     (action,) = [a for a in parser._actions
                  if isinstance(a, argparse._SubParsersAction)]
@@ -403,8 +459,8 @@ class TestInventory:
         "serve": "--admission --host --isolation --lock-depth "
                  "--max-pressure --max-seconds --port --protocol --scale "
                  "--seed --wait-timeout-ms --wal",
-        "sweep": "--cell-retries --cell-timeout --chaos-seed --csv --depths "
-                 "--fault-schedule --isolation --journal --json --progress "
+        "sweep": "--cell-retries --cell-timeout --csv --depths "
+                 "--isolation --journal --json --progress "
                  "--protocols --resume --runs --scale --seconds --seed "
                  "--shard-transport --shards --stop-after --trace-dir "
                  "--verify --workers",
@@ -423,7 +479,7 @@ class TestInventory:
                           for name, options in self.INVENTORY.items()
                           for option in options.split())
         assert found == expected
-        assert len(found) == 82
+        assert len(found) == 80
 
 
 #: A ``repro <command>`` invocation at the start of a shell command,
