@@ -51,16 +51,6 @@ the reference.
 
 __version__ = "1.0.0"
 
-from repro.chaos import (
-    AdmissionPolicy,
-    ChaosEngine,
-    FaultRule,
-    FaultSchedule,
-    RetryPolicy,
-    load_schedule,
-)
-from repro.core.registry import ALL_PROTOCOLS, get_protocol, protocol_names
-from repro.database import Database
 from repro.errors import (
     AdmissionRejected,
     DeadlockAbort,
@@ -86,17 +76,57 @@ from repro.errors import (
     is_permanent,
     is_transient,
 )
-from repro.locking.lock_manager import IsolationLevel
-from repro.net.client import ClientPool, RemoteDatabase, RemoteSession
-from repro.net.server import LockServer, ServerConfig, run_server
-from repro.obs import Observability
-from repro.query import QueryProcessor, evaluate_raw, parse_path
-from repro.session import Session
-from repro.splid import Splid, SplidAllocator
+
+
+def _lazy_exports(package: str, table: dict):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for ``package``'s exports.
+
+    ``table`` maps a module, relative to ``package`` (``".engine"``), to
+    the names it exports; a name spelled like its module (``".wire"`` →
+    ``wire``) is that submodule.  A name is imported on first use and
+    then cached in the package's globals, so each lookup runs once.
+    """
+    import sys
+    from importlib import import_module
+
+    where = {name: module for module, names in table.items() for name in names}
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name):
+        module = where.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = import_module(module, package)
+        if module != "." + name:
+            value = getattr(value, name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(namespace.keys() | where.keys())
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".chaos": ("AdmissionPolicy", "ChaosEngine", "FaultRule", "FaultSchedule",
+               "RetryPolicy", "load_schedule"),
+    ".core.registry": ("ALL_PROTOCOLS", "get_protocol", "protocol_names"),
+    ".database": ("Database",),
+    ".locking.lock_manager": ("IsolationLevel",),
+    ".net.client": ("ClientPool", "RemoteDatabase", "RemoteSession"),
+    ".net.server": ("LockServer", "ServerConfig", "run_server"),
+    ".obs": ("Observability",),
+    ".query": ("QueryProcessor", "evaluate_raw", "parse_path"),
+    ".session": ("Session",),
+    ".splid": ("Splid", "SplidAllocator"),
+})
 
 
 def list_protocols() -> list:
     """Names of all registered lock protocols (the paper's contestants)."""
+    from repro.core.registry import protocol_names
+
     return list(protocol_names())
 
 
@@ -114,6 +144,8 @@ def connect(url: str = "embedded://", **kwargs):
     session surface, so swapping deployments is a one-line change.
     """
     if url.startswith("embedded://"):
+        from repro.database import Database
+
         protocol = url[len("embedded://"):].strip("/")
         if protocol:
             kwargs.setdefault("protocol", protocol)
@@ -123,6 +155,8 @@ def connect(url: str = "embedded://", **kwargs):
         host, _sep, port = rest.partition(":")
         if port and not port.isdigit():
             raise ValueError(f"bad port in {url!r}")
+        from repro.net.client import RemoteDatabase
+
         return RemoteDatabase(
             host or "127.0.0.1", int(port) if port else 7420, **kwargs
         )

@@ -21,22 +21,19 @@ history oracle and bit-identical WAL recovery.  See
 ``docs/robustness.md``.
 """
 
-from repro.chaos.engine import ChaosEngine
-from repro.chaos.retry import (
-    ADMIT,
-    QUEUE,
-    SHED,
-    AdmissionController,
-    AdmissionPolicy,
-    RetryPolicy,
-)
-from repro.chaos.schedule import (
-    BUILTIN_SCHEDULES,
-    FaultRule,
-    FaultSchedule,
-    load_schedule,
-    schedule_names,
-)
+from repro import _lazy_exports
+
+# run_chaos lives in repro.chaos.runner, which imports repro.tamix, whose
+# coordinator imports repro.chaos.retry: resolving names on first use
+# keeps this package importable from inside the coordinator.
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".engine": ("ChaosEngine",),
+    ".retry": ("ADMIT", "QUEUE", "SHED", "AdmissionController",
+               "AdmissionPolicy", "RetryPolicy"),
+    ".runner": ("ChaosReport", "run_chaos"),
+    ".schedule": ("BUILTIN_SCHEDULES", "FaultRule", "FaultSchedule",
+                  "load_schedule", "schedule_names"),
+})
 
 __all__ = [
     "FaultRule",
@@ -54,15 +51,3 @@ __all__ = [
     "ChaosReport",
     "run_chaos",
 ]
-
-
-def __getattr__(name):
-    # run_chaos lives in repro.chaos.runner, which imports repro.tamix --
-    # and repro.tamix.coordinator imports repro.chaos.retry.  Loading the
-    # runner lazily (PEP 562) keeps this package importable from inside
-    # the coordinator without a cycle.
-    if name in ("run_chaos", "ChaosReport"):
-        from repro.chaos import runner
-
-        return getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -33,6 +33,7 @@ from pathlib import Path
 from tempfile import TemporaryDirectory
 from typing import Dict, List, Optional, Union
 
+from ..errors import BenchmarkError
 from ..net import wire
 from ..obs import Observability
 from ..shard import messages
@@ -184,6 +185,11 @@ def run_chaos(
         transport=transport,
     )
     validate_sharding(protocol, lock_depth, shards)
+    if shards == 1 and transport != "sim":
+        raise BenchmarkError(
+            f"shard transport {transport!r} needs shards > 1 "
+            f"(one node runs in-process)"
+        )
     sites = NODE_SITES if shards == 1 else SHARD_CHAOS_SITES
     schedule.check_sites(sites, "one node" if shards == 1 else "the shard plane")
     retry = RetryPolicy()

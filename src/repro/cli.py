@@ -21,7 +21,6 @@ from typing import List, Optional
 from repro import __version__
 from repro.core import ALL_PROTOCOLS, GROUPS, group_of
 from repro.locking import IsolationLevel
-from repro.tamix import run_cluster2
 
 _ISOLATIONS = [level.value for level in IsolationLevel]
 
@@ -314,6 +313,8 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_cluster2(args) -> int:
+    from repro.tamix import run_cluster2
+
     print("CLUSTER2: single TAdelBook execution time [simulated ms]")
     for name in ALL_PROTOCOLS:
         elapsed = run_cluster2(name, scale=args.scale, seed=args.seed)

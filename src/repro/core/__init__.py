@@ -12,30 +12,17 @@
   :mod:`repro.core.tadom` (taDOM*).
 """
 
-from repro.core.modes import Conversion, ModeTable
-from repro.core.protocol import (
-    Access,
-    CONTENT_SPACE,
-    EDGE_SPACE,
-    EdgeRole,
-    ID_SPACE,
-    LockPlan,
-    LockProtocol,
-    LockStep,
-    MetaOp,
-    MetaRequest,
-    NODE_SPACE,
-    READ_OPS,
-    STRUCT_SPACE,
-)
-from repro.core.registry import (
-    ALL_PROTOCOLS,
-    GROUPS,
-    depth_aware_protocols,
-    get_protocol,
-    group_of,
-    protocol_names,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".modes": ("Conversion", "ModeTable"),
+    ".protocol": ("Access", "CONTENT_SPACE", "EDGE_SPACE", "EdgeRole",
+                  "ID_SPACE", "LockPlan", "LockProtocol", "LockStep",
+                  "MetaOp", "MetaRequest", "NODE_SPACE", "READ_OPS",
+                  "STRUCT_SPACE"),
+    ".registry": ("ALL_PROTOCOLS", "GROUPS", "depth_aware_protocols",
+                  "get_protocol", "group_of", "protocol_names"),
+})
 
 __all__ = [
     "ALL_PROTOCOLS",

@@ -1,14 +1,18 @@
 """taDOM document layer: storage model, builder, parser, serializer.
 
 The lock-guarded DOM API (:class:`~repro.dom.node_manager.NodeManager`)
-is exported lazily because it depends on the locking and transaction
-packages.
+is not re-exported: it depends on the locking and transaction packages,
+so it is imported from its own module.
 """
 
-from repro.dom.builder import DocumentBuilder, build_children, build_document
-from repro.dom.document import ID_ATTRIBUTE, Document
-from repro.dom.parser import parse_document, parse_spec
-from repro.dom.serializer import serialize_document, serialize_subtree
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".builder": ("DocumentBuilder", "build_children", "build_document"),
+    ".document": ("ID_ATTRIBUTE", "Document"),
+    ".parser": ("parse_document", "parse_spec"),
+    ".serializer": ("serialize_document", "serialize_subtree"),
+})
 
 __all__ = [
     "Document",

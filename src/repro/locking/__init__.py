@@ -1,13 +1,13 @@
 """Locking substrate: lock table, deadlock detector, meta-sync manager."""
 
-from repro.locking.deadlock import DeadlockDetector, DeadlockEvent
-from repro.locking.lock_manager import (
-    AcquireReport,
-    IsolationLevel,
-    LockManager,
-    WRITE_PRIVILEGES,
-)
-from repro.locking.lock_table import GrantResult, LockTable, WaitTicket
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".deadlock": ("DeadlockDetector", "DeadlockEvent"),
+    ".lock_manager": ("AcquireReport", "IsolationLevel", "LockManager",
+                      "WRITE_PRIVILEGES"),
+    ".lock_table": ("GrantResult", "LockTable", "WaitTicket"),
+})
 
 __all__ = [
     "AcquireReport",

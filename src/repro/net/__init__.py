@@ -10,19 +10,14 @@ transaction types open-loop from thousands of clients -- live, one
 thread per client on that client library, or simulated in-process.
 """
 
-from repro.net import wire
-from repro.net.client import (
-    ClientPool,
-    RemoteDatabase,
-    RemoteSession,
-    WireConnection,
-)
-from repro.net.server import (
-    LockServer,
-    ServerConfig,
-    SloTracker,
-    run_server,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".wire": ("wire",),
+    ".client": ("ClientPool", "RemoteDatabase", "RemoteSession",
+                "WireConnection"),
+    ".server": ("LockServer", "ServerConfig", "SloTracker", "run_server"),
+})
 
 __all__ = [
     "wire",

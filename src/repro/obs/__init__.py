@@ -21,6 +21,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable, Optional, Union
 
+from repro import _lazy_exports
 from repro.obs.events import (  # noqa: F401  (re-exported taxonomy)
     ADMISSION_DECISION,
     BUFFER_EVICT,
@@ -47,29 +48,12 @@ from repro.obs.events import (  # noqa: F401  (re-exported taxonomy)
     TraceEvent,
     txn_label,
 )
-from repro.obs.analysis import (
-    Hotspots,
-    TraceAnalysis,
-    WaitRecord,
-    splid_prefix,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     WAIT_TIME_BUCKETS_MS,
-)
-from repro.obs.prom import (
-    render_prometheus,
-    render_registry,
-    sanitize_metric_name,
-)
-from repro.obs.spans import Span, TxnTimeline, build_timelines
-from repro.obs.timeseries import (
-    SERIES_VERSION,
-    WindowSnapshot,
-    WindowedSeries,
 )
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -78,6 +62,16 @@ from repro.obs.tracer import (
     aggregate,
     load_jsonl,
 )
+
+# The tracer, metrics and event taxonomy are bound above because
+# :class:`Observability` and every instrumented layer use them; the
+# offline analysis and export modules load on first use.
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".analysis": ("Hotspots", "TraceAnalysis", "WaitRecord", "splid_prefix"),
+    ".prom": ("render_prometheus", "render_registry", "sanitize_metric_name"),
+    ".spans": ("Span", "TxnTimeline", "build_timelines"),
+    ".timeseries": ("SERIES_VERSION", "WindowSnapshot", "WindowedSeries"),
+})
 
 __all__ = [
     "EVENT_KINDS",

@@ -6,9 +6,13 @@ of the paper: declarative languages must map to navigation for
 fine-granular concurrency control).
 """
 
-from repro.query.ast import Axis, NodeTest, Path, Predicate, Step, TestKind
-from repro.query.engine import QueryProcessor, evaluate_raw
-from repro.query.parser import QueryError, parse_path
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".ast": ("Axis", "NodeTest", "Path", "Predicate", "Step", "TestKind"),
+    ".engine": ("QueryProcessor", "evaluate_raw"),
+    ".parser": ("QueryError", "parse_path"),
+})
 
 __all__ = [
     "Axis",

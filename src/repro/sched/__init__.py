@@ -1,7 +1,11 @@
 """Concurrency substrate: the deterministic discrete-event simulator."""
 
-from repro.sched.costs import DEFAULT_COSTS, CostModel
-from repro.sched.simulator import Delay, SimulationError, Simulator, run_sync
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".costs": ("DEFAULT_COSTS", "CostModel"),
+    ".simulator": ("Delay", "SimulationError", "Simulator", "run_sync"),
+})
 
 __all__ = [
     "CostModel",

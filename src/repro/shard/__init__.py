@@ -8,26 +8,19 @@ See ``docs/architecture.md`` ("Sharding") for the protocol and the
 determinism contract.
 """
 
-from repro.shard.chaos import ChaosTransport
-from repro.shard.partition import PARTITION_LEVEL, PartitionPlan, plan_partitions
-from repro.shard.router import (
-    CrossShardDetector,
-    LogicalTxn,
-    ShardedDatabase,
-    ShardedNodeManager,
-    ShardRouter,
-)
-from repro.shard.runner import (
-    SHARD_CHAOS_SITES,
-    TRANSPORTS,
-    build_sharded_cluster,
-    run_sharded_cluster1,
-    shard_config,
-    validate_sharding,
-)
-from repro.shard.shard import OutboxTracer, ShardServer
-from repro.shard.supervisor import ShardSupervisor
-from repro.shard.transport import ProcessTransport, SimTransport
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".chaos": ("ChaosTransport",),
+    ".partition": ("PARTITION_LEVEL", "PartitionPlan", "plan_partitions"),
+    ".router": ("CrossShardDetector", "LogicalTxn", "ShardedDatabase",
+                "ShardedNodeManager", "ShardRouter"),
+    ".runner": ("SHARD_CHAOS_SITES", "TRANSPORTS", "build_sharded_cluster",
+                "run_sharded_cluster1", "shard_config", "validate_sharding"),
+    ".shard": ("OutboxTracer", "ShardServer"),
+    ".supervisor": ("ShardSupervisor",),
+    ".transport": ("ProcessTransport", "SimTransport"),
+})
 
 __all__ = [
     "PARTITION_LEVEL",

@@ -7,16 +7,14 @@ labeling and overflow insertion, and the order-preserving byte codec used
 as the B*-tree key representation.
 """
 
-from repro.splid.allocator import DEFAULT_DIST, SplidAllocator
-from repro.splid.codec import (
-    average_stored_bytes,
-    common_prefix_length,
-    decode,
-    encode,
-    prefix_compress,
-    prefix_decompress,
-)
-from repro.splid.splid import META_DIVISION, Splid, document_order
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".allocator": ("DEFAULT_DIST", "SplidAllocator"),
+    ".codec": ("average_stored_bytes", "common_prefix_length", "decode",
+               "encode", "prefix_compress", "prefix_decompress"),
+    ".splid": ("META_DIVISION", "Splid", "document_order"),
+})
 
 __all__ = [
     "DEFAULT_DIST",

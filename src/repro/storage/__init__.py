@@ -7,18 +7,18 @@ the vocabulary of name surrogates, and an LRU buffer manager whose I/O
 counters feed the TaMix cost model.
 """
 
-from repro.storage.bptree import BPTree, prefix_upper_bound
-from repro.storage.buffer import (
-    BufferManager,
-    IoStatistics,
-    PageFile,
-    make_buffered_store,
-)
-from repro.storage.document_store import DocumentStore
-from repro.storage.element_index import ElementIndex, IdIndex
-from repro.storage.page import DEFAULT_PAGE_SIZE, Page, entry_size
-from repro.storage.record import NO_NAME, NodeKind, NodeRecord
-from repro.storage.vocabulary import Vocabulary
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".bptree": ("BPTree", "prefix_upper_bound"),
+    ".buffer": ("BufferManager", "IoStatistics", "PageFile",
+                "make_buffered_store"),
+    ".document_store": ("DocumentStore",),
+    ".element_index": ("ElementIndex", "IdIndex"),
+    ".page": ("DEFAULT_PAGE_SIZE", "Page", "entry_size"),
+    ".record": ("NO_NAME", "NodeKind", "NodeRecord"),
+    ".vocabulary": ("Vocabulary",),
+})
 
 __all__ = [
     "BPTree",

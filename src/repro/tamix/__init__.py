@@ -1,16 +1,16 @@
 """TaMix: the paper's XML benchmark framework (Section 4)."""
 
-from repro.tamix.bibgen import BibInfo, generate_bib, load_bib
-from repro.tamix.cluster import (
-    CLUSTER1_MIX,
-    make_database,
-    run_cluster1,
-    run_cluster2,
-)
-from repro.tamix.coordinator import TaMixConfig, TaMixCoordinator
-from repro.tamix.metrics import RunResult, TypeMetrics
-from repro.tamix.sweep import SweepRunner, SweepSpec
-from repro.tamix.transactions import TRANSACTION_TYPES
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".bibgen": ("BibInfo", "generate_bib", "load_bib"),
+    ".cluster": ("CLUSTER1_MIX", "make_database", "run_cluster1",
+                 "run_cluster2"),
+    ".coordinator": ("TaMixConfig", "TaMixCoordinator"),
+    ".metrics": ("RunResult", "TypeMetrics"),
+    ".sweep": ("SweepRunner", "SweepSpec"),
+    ".transactions": ("TRANSACTION_TYPES",),
+})
 
 __all__ = [
     "BibInfo",

@@ -40,6 +40,10 @@ HISTOGRAM_BUCKET_ORDER: Tuple[str, ...] = tuple(
 ) + ("le_inf",)
 
 
+#: The names of :data:`repro.shard.runner.TRANSPORTS`, spelled here so
+#: validating a knob does not load the shard plane.
+SHARD_TRANSPORTS = ("process", "sim")
+
 #: Isolation levels weakest first, as :class:`IsolationLevel` declares them.
 _ISOLATION_RANK = {level: rank for rank, level in enumerate(IsolationLevel)}
 
@@ -194,8 +198,6 @@ def validate_knobs(
     Each would otherwise fail deep inside a run, after earlier runs
     finished, or run silently to nonsense.
     """
-    from repro.shard.runner import TRANSPORTS
-
     if not lock_depths or min(lock_depths) < 0:
         raise BenchmarkError(
             f"lock depths must be one or more values >= 0 "
@@ -209,10 +211,10 @@ def validate_knobs(
         )
     if any(count < 1 for count in shards):
         raise BenchmarkError(f"shard counts must be >= 1 (got {list(shards)})")
-    if transport not in TRANSPORTS:
+    if transport not in SHARD_TRANSPORTS:
         raise BenchmarkError(
             f"unknown shard transport {transport!r} "
-            f"(expected one of {sorted(TRANSPORTS)})"
+            f"(expected one of {list(SHARD_TRANSPORTS)})"
         )
     for protocol in protocols:
         proto = get_protocol(protocol)

@@ -1,8 +1,12 @@
 """Transactions: lifecycle, isolation levels, undo-based rollback."""
 
-from repro.locking.lock_manager import IsolationLevel
-from repro.txn.manager import TransactionManager
-from repro.txn.transaction import Transaction, TransactionStats, TxnState
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "..locking.lock_manager": ("IsolationLevel",),
+    ".manager": ("TransactionManager",),
+    ".transaction": ("Transaction", "TransactionStats", "TxnState"),
+})
 
 __all__ = [
     "IsolationLevel",

@@ -20,19 +20,15 @@ Both are wired into the ``repro`` CLI (``repro verify``) and the TaMix
 sweep (``repro sweep --verify``); see ``docs/correctness.md``.
 """
 
-from repro.verify.faults import (
-    CrashPoint,
-    CrashReport,
-    canonical_image,
-    run_crash_suite,
-)
-from repro.verify.history import Access, RunHistory, TxnRecord
-from repro.verify.oracle import (
-    OracleReport,
-    Violation,
-    verify_history,
-    verify_trace,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".faults": ("CrashPoint", "CrashReport", "canonical_image",
+                "run_crash_suite"),
+    ".history": ("Access", "RunHistory", "TxnRecord"),
+    ".oracle": ("OracleReport", "Violation", "verify_history",
+                "verify_trace"),
+})
 
 __all__ = [
     "Access",

@@ -2,7 +2,9 @@
 
 import json
 
+from repro.shard.runner import TRANSPORTS
 from repro.tamix.sweep import (
+    SHARD_TRANSPORTS,
     SweepCell,
     SweepRunner,
     SweepSpec,
@@ -31,6 +33,9 @@ class TestShardAxis:
         assert not shardable("Node2PL", 4)
         assert not shardable("taDOM3+", 1)
         assert shardable("taDOM3+", 2)
+
+    def test_validated_transport_names_are_the_registry(self):
+        assert sorted(TRANSPORTS) == list(SHARD_TRANSPORTS)
 
     def test_trace_filename_tags_sharded_cells_only(self):
         plain = SweepCell("taDOM3+", 4, "repeatable", 0)

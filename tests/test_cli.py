@@ -402,9 +402,11 @@ class TestRefusals:
         (["--schedule", "no-such-schedule"], "unknown schedule"),
         (["--shards", "2", "--schedule", "ci-small"], "the shard plane"),
         (["--schedule", "shard-kill"], "one node fires only"),
+        (["--shard-transport", "process"], "needs shards > 1"),
     ], ids=["scale", "seconds", "depth", "shards", "root-navigating",
             "shallow-shards", "isolation", "unknown-schedule",
-            "node-sites-on-shards", "shard-sites-on-one-node"])
+            "node-sites-on-shards", "shard-sites-on-one-node",
+            "process-transport-on-one-node"])
     def test_chaos_refuses_before_building_a_stack(
         self, capsys, monkeypatch, knobs, named
     ):
